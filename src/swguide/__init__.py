@@ -35,20 +35,13 @@ from .expansion import (
     score_from_soft_labels,
     select_pseudo_source,
 )
-from .losses import (
-    LossReport,
-    adversarial_loss,
-    classification_loss,
-    kd_loss,
-    total_loss,
-)
+from .losses import adversarial_loss, classification_loss, kd_loss
 from .model import (
     ModelParams,
     NormLayerState,
     discriminate,
     forward,
     init_params,
-    multilinear_map,
 )
 from .norm_adapt import adapt_model, adjust_params, estimate_stats
 from .trainer import RunResult, TrainConfig, evaluate, run, run_v2
@@ -78,17 +71,14 @@ __all__ = [
     "mix_scores",
     "score_from_soft_labels",
     "select_pseudo_source",
-    "LossReport",
     "adversarial_loss",
     "classification_loss",
     "kd_loss",
-    "total_loss",
     "ModelParams",
     "NormLayerState",
     "discriminate",
     "forward",
     "init_params",
-    "multilinear_map",
     "adapt_model",
     "adjust_params",
     "estimate_stats",

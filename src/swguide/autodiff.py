@@ -76,10 +76,6 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def reset_grads(self):
-        for node in self.nodes:
-            node.grad[...] = 0.0
-
 
 def _check_same_tape(*nodes):
     tape = nodes[0].tape
@@ -171,16 +167,21 @@ def weighted_sum(a: Node, weights) -> Node:
     )
 
 
-def softmax_rows(a: Node, temperature: float = 1.0) -> Node:
-    """Row-wise softmax of ``a / temperature`` (max-subtracted for stability)."""
+def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
+    """Row-wise softmax of ``logits / temperature`` with max subtraction."""
     t = float(temperature)
     if t <= 0.0:
         raise ValueError(f"softmax temperature must be positive, got {t}")
-    z = a.value / t
+    z = np.asarray(logits, dtype=np.float64) / t
     z = z - z.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    out = ez / ez.sum(axis=1, keepdims=True)
-    return a.tape._record(out, "softmax_rows", (a,), aux=t)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+def softmax_rows(a: Node, temperature: float = 1.0) -> Node:
+    """Tape node for :func:`stable_softmax` of ``a``."""
+    t = float(temperature)
+    return a.tape._record(stable_softmax(a.value, t), "softmax_rows", (a,), aux=t)
 
 
 def log_rows(a: Node, floor: float = PROB_FLOOR) -> Node:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import PROB_FLOOR, stable_softmax
 from .errors import (
     ClassMismatchError,
     EmptyDomainError,
@@ -24,24 +25,12 @@ from .errors import (
 )
 
 DEFAULT_TAU = 0.9
-PROB_FLOOR = 1e-12
 
 MEAN_TOLERANCE = 1e-6
 BRACKET_RELATIVE_WIDTH = 1e-9
 MAX_ITERATIONS = 200
 
 _DOMAIN_TAGS = ("source", "target")
-
-
-def stable_softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of ``logits / temperature`` with max subtraction."""
-    t = float(temperature)
-    if t <= 0.0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    z = np.asarray(logits, dtype=np.float64) / t
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -194,6 +183,12 @@ def solve_temperature(
     tau = float(tau)
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    floor = 1.0 / source.n_classes
+    if tau <= floor:
+        raise InfeasibleError(
+            f"mean winning probability only falls to 1/K = {floor:.6f} as T grows "
+            f"without bound, so tau={tau} is unreachable"
+        )
 
     ceiling = 0.5 * _cold_limit(source.logits) + 0.5 * _cold_limit(target.logits)
     if ceiling <= tau:

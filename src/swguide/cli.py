@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import ConfigInvalidError, GuidanceError
 from .model import params_from_named
-from .trainer import RunResult, TrainConfig, evaluate, run, run_v2
+from .trainer import RunResult, TrainConfig, evaluate, run
 
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
 
@@ -39,16 +39,16 @@ _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
 def _parse_config_value(name: str, raw: str):
     if name not in _CONFIG_FIELDS:
         raise ConfigInvalidError(f"unknown config key {name!r}")
-    if name == "tau":
-        return None if raw.lower() == "none" else float(raw)
-    default = _CONFIG_FIELDS[name].default
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    if name == "tau" and raw.lower() == "none":
+        return None
+    kind = type(_CONFIG_FIELDS[name].default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigInvalidError(
+            f"bad value {raw!r} for {name} (--{name.replace('_', '-')}): "
+            f"expected {kind.__name__}"
+        ) from None
 
 
 def read_config_file(path) -> dict:
@@ -120,8 +120,22 @@ def write_run_artifacts(out_dir, config: TrainConfig, result: RunResult):
         result.prediction_ids,
         result.prediction_probs,
     )
+    if result.first_run is not None:
+        write_predictions(
+            os.path.join(out_dir, "predictions_run1.txt"),
+            result.first_run.prediction_ids,
+            result.first_run.prediction_probs,
+        )
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as handle:
         handle.write(summary_line(result) + "\n")
+
+
+def _train_job(config: TrainConfig, source_path, target_path, out_dir) -> RunResult:
+    """Read both datasets, run the configured scheme, write its artifacts."""
+    result = run(config, read_dataset(source_path), read_dataset(target_path))
+    if out_dir:
+        write_run_artifacts(out_dir, config, result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +179,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if not 0.0 < args.tau < 1.0:
+        raise ConfigInvalidError(f"--tau must lie in (0, 1), got {args.tau}")
     source = read_dataset(args.source)
     target = read_dataset(args.target)
     result = solve_temperature(logit_matrix(source), logit_matrix(target), args.tau)
@@ -176,21 +192,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = build_train_config(args)
-    source = read_dataset(args.source)
-    target = read_dataset(args.target)
     _echo_config(config)
-    if config.scheme == "v2" and args.out:
-        os.makedirs(args.out, exist_ok=True)
-        result = run_v2(
-            config,
-            source,
-            target,
-            predictions_path=os.path.join(args.out, "predictions_run1.txt"),
-        )
-    else:
-        result = run(config, source, target)
-    if args.out:
-        write_run_artifacts(args.out, config, result)
+    result = _train_job(config, args.source, args.target, args.out)
     print("# result")
     print(summary_line(result))
     return 0
@@ -199,21 +202,7 @@ def _cmd_train(args) -> int:
 def _run_one(task) -> tuple[str, float]:
     """Worker for sweep commands: one (label, config, paths) training run."""
     label, config, source_path, target_path, out_dir = task
-    source = read_dataset(source_path)
-    target = read_dataset(target_path)
-    if config.scheme == "v2" and out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        result = run_v2(
-            config,
-            source,
-            target,
-            predictions_path=os.path.join(out_dir, "predictions_run1.txt"),
-        )
-    else:
-        result = run(config, source, target)
-    if out_dir:
-        write_run_artifacts(out_dir, config, result)
-    return label, result.accuracy
+    return label, _train_job(config, source_path, target_path, out_dir).accuracy
 
 
 def _run_sweep(tasks, jobs: int) -> list[tuple[str, float]]:
@@ -223,8 +212,12 @@ def _run_sweep(tasks, jobs: int) -> list[tuple[str, float]]:
     return [_run_one(task) for task in tasks]
 
 
-def _parse_seeds(raw: str) -> list[int]:
-    return [int(s) for s in raw.split(",") if s != ""]
+def _parse_list(flag: str, raw: str, parse) -> list:
+    """``parse`` of each stripped entry of a comma-separated ``--flag`` value."""
+    try:
+        return [parse(v.strip()) for v in raw.split(",") if v != ""]
+    except ValueError:
+        raise ConfigInvalidError(f"bad value {raw!r} for --{flag}") from None
 
 
 def _sweep_table(pairs, key: str) -> list[str]:
@@ -240,24 +233,29 @@ def _sweep_table(pairs, key: str) -> list[str]:
     return lines
 
 
-def _cmd_sweep_expansion(args) -> int:
+def _sweep(args, flag: str, key: str, setting) -> int:
+    """Train every (swept value, seed) pair and print mean accuracy per value.
+
+    ``setting`` maps one entry of ``--flag`` to its table label and the
+    config fields it overrides; runs go to ``OUT/{key}_{label}/seed_{seed}``.
+    """
     config = build_train_config(args)
-    fractions = [float(v) for v in args.fractions.split(",") if v != ""]
-    seeds = _parse_seeds(args.seeds)
+    settings = _parse_list(flag, getattr(args, flag), setting)
+    seeds = _parse_list("seeds", args.seeds, int)
     _echo_config(config)
     tasks = []
-    for fraction in fractions:
+    for label, overrides in settings:
         for seed in seeds:
-            cfg = replace(config, scheme="v1", expansion_fraction=fraction, seed=seed)
+            cfg = replace(config, seed=seed, **overrides)
             out_dir = (
-                os.path.join(args.out, f"fraction_{fraction}", f"seed_{seed}")
+                os.path.join(args.out, f"{key}_{label}", f"seed_{seed}")
                 if args.out
                 else None
             )
-            tasks.append((str(fraction), cfg, args.source, args.target, out_dir))
+            tasks.append((label, cfg, args.source, args.target, out_dir))
     pairs = _run_sweep(tasks, args.jobs)
     print("# result")
-    lines = _sweep_table(pairs, "fraction")
+    lines = _sweep_table(pairs, key)
     for line in lines:
         print(line)
     if args.out:
@@ -265,34 +263,23 @@ def _cmd_sweep_expansion(args) -> int:
         with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     return 0
+
+
+def _fraction_setting(token: str):
+    fraction = float(token)
+    return str(fraction), {"scheme": "v1", "expansion_fraction": fraction}
+
+
+def _tau_setting(token: str):
+    return token, {"tau": None if token.lower() == "none" else float(token)}
+
+
+def _cmd_sweep_expansion(args) -> int:
+    return _sweep(args, "fractions", "fraction", _fraction_setting)
 
 
 def _cmd_sweep_tau(args) -> int:
-    config = build_train_config(args)
-    taus = [v.strip() for v in args.taus.split(",") if v != ""]
-    seeds = _parse_seeds(args.seeds)
-    _echo_config(config)
-    tasks = []
-    for tau_raw in taus:
-        tau = None if tau_raw.lower() == "none" else float(tau_raw)
-        for seed in seeds:
-            cfg = replace(config, tau=tau, seed=seed)
-            out_dir = (
-                os.path.join(args.out, f"tau_{tau_raw}", f"seed_{seed}")
-                if args.out
-                else None
-            )
-            tasks.append((tau_raw, cfg, args.source, args.target, out_dir))
-    pairs = _run_sweep(tasks, args.jobs)
-    print("# result")
-    lines = _sweep_table(pairs, "tau")
-    for line in lines:
-        print(line)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    return 0
+    return _sweep(args, "taus", "tau", _tau_setting)
 
 
 def _cmd_eval(args) -> int:

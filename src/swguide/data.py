@@ -22,11 +22,11 @@ import numpy as np
 from .calibration import LogitMatrix
 from .errors import (
     ClassMismatchError,
+    ConfigInvalidError,
     InvalidSpecError,
     NonFiniteError,
     ParseError,
     UnknownDomainTagError,
-    UnknownSampleIdError,
     WidthMismatchError,
 )
 
@@ -41,6 +41,8 @@ def rng_for(seed: int, *path) -> np.random.Generator:
     spawn key of a ``SeedSequence``, so streams never depend on call
     order and never touch global random state.
     """
+    if int(seed) < 0:
+        raise ConfigInvalidError(f"seed must be >= 0, got {seed}")
     key = []
     for part in path:
         digest = hashlib.blake2s(str(part).encode("utf-8")).digest()
@@ -122,12 +124,6 @@ class DomainDataset:
     @property
     def n_classes(self) -> int:
         return self.zeroshot.shape[1]
-
-    def index_of(self, sample_id: str) -> int:
-        try:
-            return self.sample_ids.index(sample_id)
-        except ValueError:
-            raise UnknownSampleIdError(f"no sample with id {sample_id!r}") from None
 
     def without_labels(self) -> "DomainDataset":
         """Copy with every target-role label erased (the training view)."""

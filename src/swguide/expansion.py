@@ -20,6 +20,7 @@ from .errors import (
     ClassMismatchError,
     FractionOutOfRangeError,
     IdMismatchError,
+    UnknownSampleIdError,
 )
 
 POLICIES = ("global", "class_balanced")
@@ -186,7 +187,11 @@ def expand_dataset(
     if not selection.entries:
         return source
 
-    indices = [target.index_of(entry.sample_id) for entry in selection.entries]
+    row_of = {sid: i for i, sid in enumerate(target.sample_ids)}
+    try:
+        indices = [row_of[entry.sample_id] for entry in selection.entries]
+    except KeyError as exc:
+        raise UnknownSampleIdError(f"no target sample with id {exc.args[0]!r}") from None
     ids = source.sample_ids + tuple(entry.sample_id for entry in selection.entries)
     roles = source.roles + ("pseudo_source",) * len(selection)
     labels = np.concatenate(

@@ -8,8 +8,6 @@ for ablations, with every weight defaulting to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -19,25 +17,6 @@ from .errors import (
     SingleDomainBatchError,
     UnlabeledError,
 )
-
-PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class LossReport:
-    l_ce: float
-    l_kd: float
-    l_ad: float
-    total: float
-
-
-def total_loss(l_ce: float, l_kd: float, l_ad: float) -> LossReport:
-    return LossReport(
-        l_ce=float(l_ce),
-        l_kd=float(l_kd),
-        l_ad=float(l_ad),
-        total=float(l_ce) + float(l_kd) + float(l_ad),
-    )
 
 
 def classification_loss_node(probs: ad.Node, labels, mask) -> ad.Node:
@@ -57,7 +36,7 @@ def classification_loss_node(probs: ad.Node, labels, mask) -> ad.Node:
         if labels[i] < 0 or labels[i] >= k:
             raise UnlabeledError(f"masked row {i} has no usable label ({labels[i]})")
         weights[i, labels[i]] = -1.0 / count
-    return ad.weighted_sum(ad.log_rows(probs, PROB_FLOOR), weights)
+    return ad.weighted_sum(ad.log_rows(probs, ad.PROB_FLOOR), weights)
 
 
 def kd_loss_node(probs: ad.Node, teacher_rows) -> ad.Node:
@@ -72,8 +51,8 @@ def kd_loss_node(probs: ad.Node, teacher_rows) -> ad.Node:
             f"teacher shape {teacher.shape} != probabilities shape {probs.value.shape}"
         )
     n = teacher.shape[0]
-    cross = ad.weighted_sum(ad.log_rows(probs, PROB_FLOOR), -teacher / n)
-    entropy = float(np.sum(teacher * np.log(np.maximum(teacher, PROB_FLOOR))) / n)
+    cross = ad.weighted_sum(ad.log_rows(probs, ad.PROB_FLOOR), -teacher / n)
+    entropy = float(np.sum(teacher * np.log(np.maximum(teacher, ad.PROB_FLOOR))) / n)
     return ad.add(cross, probs.tape.leaf([[entropy]]))
 
 
@@ -93,9 +72,9 @@ def adversarial_loss_node(d_hat: ad.Node, domain_labels) -> ad.Node:
             "adversarial loss needs both domains in the batch"
         )
     tape = d_hat.tape
-    term_pos = ad.weighted_sum(ad.log_rows(d_hat, PROB_FLOOR), -labels / n)
+    term_pos = ad.weighted_sum(ad.log_rows(d_hat, ad.PROB_FLOOR), -labels / n)
     one_minus = ad.add(tape.leaf(np.ones((n, 1))), ad.scale(d_hat, -1.0))
-    term_neg = ad.weighted_sum(ad.log_rows(one_minus, PROB_FLOOR), -(1.0 - labels) / n)
+    term_neg = ad.weighted_sum(ad.log_rows(one_minus, ad.PROB_FLOOR), -(1.0 - labels) / n)
     return ad.add(term_pos, term_neg)
 
 

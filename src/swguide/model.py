@@ -319,18 +319,6 @@ def discriminate_on_tape(
     return ad.sigmoid(ad.add(ad.matmul(h, weight), bias))
 
 
-def multilinear_map(features: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row-wise flattened outer product f_i p_i^T (eager form)."""
-    features = np.asarray(features, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    if features.shape[0] != probs.shape[0]:
-        raise ShapeMismatchError(
-            f"row counts differ: {features.shape[0]} vs {probs.shape[0]}"
-        )
-    n = features.shape[0]
-    return np.einsum("ni,nk->nik", features, probs).reshape(n, -1)
-
-
 def forward(params: ModelParams, x, domain_tags):
     """Eager forward pass; returns (features, probabilities) as arrays."""
     tape = ad.Tape()

@@ -8,8 +8,8 @@ distillation + adversarial losses → per-episode target evaluation.
 Schemes:
     v1             one run at the configured expansion fraction
     v2             two runs (1/3 then 2/3 expansion); the second run mixes
-                   the first run's persisted predictions into the scores
-                   and restarts from fresh parameters
+                   the first run's predictions into the scores and
+                   restarts from fresh parameters
     weak_only      v1 with expansion fraction 0
     cdan_only      weak_only with the distillation term removed
     zeroshot_only  no training; the zero-shot argmax is the prediction
@@ -21,22 +21,13 @@ given (config, datasets) pair always produces identical artifacts.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .calibration import SoftLabelSet, sharpen, solve_temperature, stable_softmax
-from .data import (
-    DomainDataset,
-    EpisodeMetrics,
-    logit_matrix,
-    read_predictions,
-    rng_for,
-    write_predictions,
-)
+from .calibration import SoftLabelSet, sharpen, solve_temperature
+from .data import DomainDataset, EpisodeMetrics, logit_matrix, rng_for
 from .errors import ConfigInvalidError, UnlabeledError
 from .expansion import (
     POLICIES,
@@ -278,6 +269,18 @@ def _single_run(
     )
     params = adapt_model(params, expanded, target_train)
 
+    # Row-aligned with ``expanded`` and ``target_train``, so each batch gathers
+    # its teacher rows and domain labels with the indices that gather features.
+    teacher_src = teacher_all.rows_for(expanded.sample_ids)
+    teacher_tgt = teacher_target.probs
+    src_adversarial = np.array(
+        [
+            role == "source" or config.pseudo_source_adversarial_domain == "source"
+            for role in expanded.roles
+        ],
+        dtype=np.float64,
+    )
+
     trainable = {
         name: array
         for name, array in params.named_arrays().items()
@@ -329,20 +332,7 @@ def _single_run(
             tgt_blank = np.full(tgt_half, -1, dtype=np.int64)
             batch_labels = np.concatenate([src_labels, tgt_blank, src_labels, tgt_blank])
 
-            src_ids = [expanded.sample_ids[i] for i in src_idx]
-            tgt_ids = [target_train.sample_ids[i] for i in tgt_idx]
-            batch_ids = src_ids + tgt_ids + src_ids + tgt_ids
-
-            src_adversarial = np.array(
-                [
-                    1.0
-                    if expanded.roles[i] == "source"
-                    or config.pseudo_source_adversarial_domain == "source"
-                    else 0.0
-                    for i in src_idx
-                ]
-            )
-            half_labels = np.concatenate([src_adversarial, np.zeros(tgt_half)])
+            half_labels = np.concatenate([src_adversarial[src_idx], np.zeros(tgt_half)])
             domain_labels = np.concatenate([half_labels, half_labels]).reshape(-1, 1)
 
             tape = ad.Tape()
@@ -357,7 +347,8 @@ def _single_run(
                 l_ce = float(ce_node.value[0, 0])
                 terms.append(ce_node if config.w_ce == 1.0 else ad.scale(ce_node, config.w_ce))
             if config.w_kd > 0.0:
-                teacher_rows = teacher_all.rows_for(batch_ids)
+                src_rows, tgt_rows = teacher_src[src_idx], teacher_tgt[tgt_idx]
+                teacher_rows = np.concatenate([src_rows, tgt_rows, src_rows, tgt_rows])
                 kd_node = kd_loss_node(probs, teacher_rows)
                 l_kd = float(kd_node.value[0, 0])
                 terms.append(kd_node if config.w_kd == 1.0 else ad.scale(kd_node, config.w_kd))
@@ -409,7 +400,7 @@ def _single_run(
 def _zeroshot_only(config, source, target) -> RunResult:
     if (target.labels < 0).any():
         raise UnlabeledError("zero-shot evaluation needs target ground truth")
-    probs = stable_softmax(target.zeroshot, 1.0)
+    probs = ad.stable_softmax(target.zeroshot, 1.0)
     accuracy = float((probs.argmax(axis=1) == target.labels).mean())
     params = init_params(
         rng_for(config.seed, "init", "run1"),
@@ -431,29 +422,14 @@ def _zeroshot_only(config, source, target) -> RunResult:
     )
 
 
-def run_v2(
-    config: TrainConfig,
-    source: DomainDataset,
-    target: DomainDataset,
-    predictions_path=None,
-) -> RunResult:
-    """Two-run scheme: persist run-1 predictions, mix them into run-2 scores."""
+def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> RunResult:
+    """Two-run scheme: run-1 predictions are mixed into run-2 scores."""
     run1 = _single_run(
         config, source, target, run_tag="run1", fraction=config.v2_fraction_first
     )
-    if predictions_path is None:
-        handle, predictions_path = tempfile.mkstemp(suffix=".txt", prefix="swguide_run1_")
-        os.close(handle)
-        cleanup = True
-    else:
-        cleanup = False
-    try:
-        write_predictions(predictions_path, run1.prediction_ids, run1.prediction_probs)
-        prev_ids, prev_probs = read_predictions(predictions_path)
-    finally:
-        if cleanup:
-            os.unlink(predictions_path)
-    previous = SoftLabelSet(probs=prev_probs, sample_ids=prev_ids, temperature_used=1.0)
+    previous = SoftLabelSet(
+        probs=run1.prediction_probs, sample_ids=run1.prediction_ids, temperature_used=1.0
+    )
 
     _, _, teacher_target, _ = build_teachers(config, source, target)
     scores = mix_scores(previous, teacher_target)

@@ -221,16 +221,6 @@ def test_cross_tape_operands_rejected():
         ad.add(t1.leaf([[1.0]]), t2.leaf([[1.0]]))
 
 
-def test_reset_grads_zeroes_everything():
-    tape = ad.Tape()
-    x = tape.leaf([[2.0]])
-    loss = ad.mean(ad.mul(x, x))
-    ad.backward(tape, loss)
-    assert x.grad[0, 0] != 0.0
-    tape.reset_grads()
-    assert x.grad[0, 0] == 0.0
-
-
 def test_one_dim_inputs_promoted_to_rows():
     tape = ad.Tape()
     leaf = tape.leaf([1.0, 2.0, 3.0])

@@ -22,7 +22,6 @@ from swguide.errors import (
     EmptyDomainError,
     InfeasibleError,
     NonFiniteError,
-    NotBracketedError,
     UnknownDomainTagError,
     UnknownSampleIdError,
 )
@@ -156,12 +155,13 @@ def test_solver_partial_ties_account_for_multiplicity():
     assert abs(result.achieved_mean - 0.7) <= 1e-6
 
 
-def test_solver_unreachably_low_tau_is_not_bracketed():
+def test_solver_tau_at_most_one_over_k_is_infeasible():
     rng = rng_for(1, "low-tau")
     source = lm(rng.standard_normal((4, 2)))
     target = lm(rng.standard_normal((4, 2)), "target", "t")
-    with pytest.raises(NotBracketedError):
-        solve_temperature(source, target, 0.2)  # floor is 1/K = 0.5
+    for tau in (0.2, 0.5):  # the T -> infinity limit is 1/K = 0.5
+        with pytest.raises(InfeasibleError, match="1/K"):
+            solve_temperature(source, target, tau)
 
 
 def test_solver_rejects_tau_outside_unit_interval():

@@ -147,6 +147,16 @@ def test_calibrate_infeasible_exits_with_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_calibrate_tau_at_most_one_over_k_names_the_limit(tmp_path, capsys):
+    source, target = str(tmp_path / "s.txt"), str(tmp_path / "t.txt")
+    assert main(["gen", "--out-source", source, "--out-target", target]) == 0
+    capsys.readouterr()
+    code = main(["calibrate", "--source", source, "--target", target, "--tau", "0.1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1/K = 0.200000" in err
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -243,6 +253,58 @@ def test_train_v2_persists_first_run_predictions(bench, tmp_path):
     assert len(ids) == 18
     metrics = read_metrics(out_dir / "metrics.txt")
     assert len(metrics) == 4  # both runs' episodes concatenated
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("train", ("--episodes", "0")),
+        ("train", ("--batch-size", "1")),
+        ("sweep-tau", ("--taus", "0.9", "--episodes", "0")),
+    ],
+    ids=["train-episodes", "train-batch-size", "sweep-tau-episodes"],
+)
+def test_v2_with_an_out_dir_still_validates_the_config(
+    bench, tmp_path, capsys, command, extra
+):
+    source, target = bench
+    code = main(
+        [command, "--source", source, "--target", target,
+         "--scheme", "v2", "--out", str(tmp_path / "v2"), *extra]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra, flag",
+    [
+        ("train", ("--episodes", "abc"), "--episodes"),
+        ("sweep-expansion", ("--fractions", "x"), "--fractions"),
+        ("sweep-tau", ("--taus", "0.9", "--seeds", "a"), "--seeds"),
+    ],
+    ids=["train", "sweep-expansion", "sweep-tau"],
+)
+def test_non_numeric_flag_values_exit_2_naming_the_flag(
+    bench, capsys, command, extra, flag
+):
+    source, target = bench
+    code = main([command, "--source", source, "--target", target, *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("train", ("--seed", "-1")), ("calibrate", ("--tau", "1.5"))],
+    ids=["train-seed", "calibrate-tau"],
+)
+def test_out_of_range_flag_values_exit_2(bench, capsys, command, extra):
+    source, target = bench
+    code = main([command, "--source", source, "--target", target, *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_train_missing_dataset_file_is_a_clean_error(tmp_path, capsys):

@@ -28,7 +28,6 @@ from swguide.errors import (
     NonFiniteError,
     ParseError,
     UnknownDomainTagError,
-    UnknownSampleIdError,
     WidthMismatchError,
 )
 
@@ -91,9 +90,6 @@ def test_dataset_accessors():
     assert len(ds) == 3
     assert ds.feature_dim == 2
     assert ds.n_classes == 2
-    assert ds.index_of("t0") == 1
-    with pytest.raises(UnknownSampleIdError):
-        ds.index_of("nope")
 
 
 def test_dataset_without_labels_erases_only_targets():

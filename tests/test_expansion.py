@@ -15,6 +15,7 @@ from swguide.errors import (
     ClassMismatchError,
     FractionOutOfRangeError,
     IdMismatchError,
+    UnknownSampleIdError,
 )
 from swguide.expansion import (
     ExpansionScore,
@@ -264,6 +265,17 @@ def test_expand_with_empty_selection_returns_source_unchanged():
         score_from_soft_labels(soft(target.zeroshot)), 0.0
     )
     assert expand_dataset(source, target, selection) is source
+
+
+def test_expand_rejects_a_selected_id_missing_from_the_target():
+    source, target = _pair_of_datasets()
+    selection = ExpansionSelection(
+        entries=(SelectionEntry("t00", 0, 0.6), SelectionEntry("nope", 1, 0.5)),
+        fraction=1.0,
+        policy="global",
+    )
+    with pytest.raises(UnknownSampleIdError):
+        expand_dataset(source, target, selection)
 
 
 def test_expand_rejects_incompatible_datasets():

@@ -22,7 +22,6 @@ from swguide.losses import (
     classification_loss_node,
     kd_loss,
     kd_loss_node,
-    total_loss,
 )
 
 from helpers import rel_error
@@ -199,13 +198,3 @@ def test_adversarial_matches_direct_formula(seed):
     direct = float(np.mean(-(y * np.log(d_hat) + (1 - y) * np.log(1 - d_hat))))
     assert value == pytest.approx(direct, abs=1e-10)
 
-
-# ---------------------------------------------------------------------------
-# Aggregate report
-# ---------------------------------------------------------------------------
-
-
-def test_total_loss_is_the_unweighted_sum():
-    report = total_loss(1.5, 0.25, 0.75)
-    assert report.l_ce == 1.5 and report.l_kd == 0.25 and report.l_ad == 0.75
-    assert report.total == 2.5

@@ -1,5 +1,5 @@
 """Unit tests for the model: parameter plumbing, per-domain normalization,
-forward semantics, the multilinear discriminator input, and gradients."""
+forward semantics, the discriminator, and gradients."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from swguide.model import (
     forward,
     init_params,
     lift,
-    multilinear_map,
     params_from_named,
     predict_logits,
 )
@@ -239,13 +238,6 @@ def test_probs_are_softmax_of_logits():
 # ---------------------------------------------------------------------------
 # Discriminator input and forward
 # ---------------------------------------------------------------------------
-
-
-def test_multilinear_map_fixture():
-    joint = multilinear_map(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0, 5.0]]))
-    np.testing.assert_array_equal(joint, [[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]])
-    with pytest.raises(ShapeMismatchError):
-        multilinear_map(np.ones((2, 2)), np.ones((3, 2)))
 
 
 def test_discriminate_outputs_probabilities_and_ignores_lambda_forward():

@@ -27,6 +27,13 @@ PROB_FLOOR = 1e-12
 
 def _as_matrix(value) -> np.ndarray:
     """Coerce ``value`` to a 2-D float64 array (rows stay rows)."""
+    if (
+        type(value) is np.ndarray
+        and value.ndim == 2
+        and value.dtype == np.float64
+        and value.flags.c_contiguous
+    ):
+        return value
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -45,7 +52,7 @@ class Node:
     def __init__(self, tape, value, op, parents, aux=None):
         self.tape = tape
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros(value.shape)
         self.op = op
         self.parents = parents
         self.aux = aux
@@ -96,7 +103,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _broadcastable(a_shape, b_shape) -> bool:
-    return all(m == n or m == 1 or n == 1 for m, n in zip(a_shape, b_shape))
+    (ar, ac), (br, bc) = a_shape, b_shape
+    return (ar == br or ar == 1 or br == 1) and (ac == bc or ac == 1 or bc == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +139,32 @@ def mul(a: Node, b: Node) -> Node:
     return tape._record(a.value * b.value, "mul", (a, b))
 
 
-def scale(a: Node, alpha: float) -> Node:
-    """Multiply by a Python constant (the constant gets no gradient)."""
-    return a.tape._record(a.value * float(alpha), "scale", (a,), aux=float(alpha))
+def _constant_for(a: Node, value, op: str) -> np.ndarray:
+    """``value`` as a matrix that broadcasts to ``a``'s shape without growing it."""
+    c = _as_matrix(value)
+    (ar, ac), (cr, cc) = a.value.shape, c.shape
+    if cr not in (1, ar) or cc not in (1, ac):
+        raise ShapeMismatchError(
+            f"{op} constant of shape {c.shape} does not fit value shape {a.value.shape}"
+        )
+    return c
+
+
+def scale(a: Node, alpha) -> Node:
+    """Multiply by a constant: a Python number, or an array that broadcasts
+    to ``a``'s shape (a row, a column or a full matrix).  The constant gets
+    no gradient and no node of its own."""
+    if isinstance(alpha, np.ndarray):
+        alpha = _constant_for(a, alpha, "scale")
+    else:
+        alpha = float(alpha)
+    return a.tape._record(a.value * alpha, "scale", (a,), aux=alpha)
+
+
+def shift(a: Node, offset) -> Node:
+    """Add a constant array that broadcasts to ``a``'s shape (no gradient,
+    no node of its own)."""
+    return a.tape._record(a.value + _constant_for(a, offset, "shift"), "shift", (a,))
 
 
 def relu(a: Node) -> Node:
@@ -260,6 +291,11 @@ def _back_scale(node):
     a.grad += node.grad * node.aux
 
 
+def _back_shift(node):
+    (a,) = node.parents
+    a.grad += node.grad
+
+
 def _back_relu(node):
     (a,) = node.parents
     a.grad += node.grad * (a.value > 0.0)
@@ -326,6 +362,7 @@ _BACKWARD = {
     "add": _back_add,
     "mul": _back_mul,
     "scale": _back_scale,
+    "shift": _back_shift,
     "relu": _back_relu,
     "sigmoid": _back_sigmoid,
     "mean": _back_mean,

@@ -292,10 +292,10 @@ def forward_on_tape(
         for domain, mask in masks.items():
             state = params.norm_states[layer][domain]
             gamma, beta = nodes.norms[layer][domain]
-            centered = ad.add(h, tape.leaf(-state.running_mean))
-            xhat = ad.mul(centered, tape.leaf(1.0 / np.sqrt(state.running_var)))
+            centered = ad.shift(h, -state.running_mean)
+            xhat = ad.scale(centered, 1.0 / np.sqrt(state.running_var))
             y = ad.add(ad.mul(xhat, gamma), beta)
-            branches.append(ad.mul(y, tape.leaf(mask)) if len(masks) > 1 else y)
+            branches.append(ad.scale(y, mask) if len(masks) > 1 else y)
         out = branches[0]
         for branch in branches[1:]:
             out = ad.add(out, branch)

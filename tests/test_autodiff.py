@@ -259,6 +259,48 @@ def test_grad_scale(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_grad_scale_by_constant_array(seed):
+    rng = rng_for(seed, "g-scale-array")
+    row = rng.standard_normal((1, 3))
+    column = rng.standard_normal((4, 1))
+    _fd_check(lambda a: ad.scale(ad.scale(a, row), column), [rng.standard_normal((4, 3))], seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_shift(seed):
+    rng = rng_for(seed, "g-shift")
+    offset = rng.standard_normal(3)
+    _fd_check(lambda a: ad.mul(ad.shift(a, offset), a), [rng.standard_normal((4, 3))], seed)
+
+
+def test_constant_ops_match_leaf_ops_bit_for_bit():
+    rng = rng_for(0, "const-vs-leaf")
+    x, offset, factor = rng.standard_normal((5, 3)), rng.standard_normal((1, 3)), rng.random((5, 1))
+    grads, values = [], []
+    for constants in (False, True):
+        tape = ad.Tape()
+        leaf = tape.leaf(x)
+        if constants:
+            out = ad.scale(ad.shift(leaf, offset), factor)
+        else:
+            out = ad.mul(ad.add(leaf, tape.leaf(offset)), tape.leaf(factor))
+        ad.backward(tape, ad.weighted_sum(out, x))
+        values.append(out.value)
+        grads.append(leaf.grad)
+    np.testing.assert_array_equal(values[0], values[1])
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_constant_ops_reject_shapes_that_grow_the_value():
+    tape = ad.Tape()
+    a = tape.leaf(np.ones((2, 3)))
+    with pytest.raises(ShapeMismatchError):
+        ad.shift(a, np.ones((3, 3)))
+    with pytest.raises(ShapeMismatchError):
+        ad.scale(a, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_grad_relu_away_from_kink(seed):
     rng = rng_for(seed, "g-relu")
     x = rng.standard_normal((4, 4))

@@ -3,8 +3,14 @@
 Every differentiable value lives on a :class:`Tape` as a :class:`Node`.
 Operations append nodes in creation order, so the backward pass is a single
 reversed walk over the tape — no topological sort is needed.  Gradients
-accumulate additively into ``node.grad``; a tape supports exactly one
-backward pass and is meant to be rebuilt from scratch for every step.
+accumulate additively into ``node.grad``, which :func:`backward` allocates,
+so a forward-only tape holds no gradient arrays.  A tape supports exactly
+one backward pass and is meant to be rebuilt from scratch for every step.
+
+A node refers to its tape only weakly, so there is no node↔tape reference
+cycle: a tape and all its nodes are freed by reference counting as soon as
+the last reference to the tape goes, without waiting for the garbage
+collector.  Recording an op on a node whose tape is gone is an error.
 
 Only the operations needed by the models in this package are provided.
 All arrays are C-contiguous ``float64`` matrices; 1-D inputs are promoted
@@ -13,6 +19,8 @@ to single-row matrices on entry.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .errors import (
@@ -20,6 +28,7 @@ from .errors import (
     NonFiniteError,
     NotScalarError,
     ShapeMismatchError,
+    TapeReleasedError,
 )
 
 PROB_FLOOR = 1e-12
@@ -47,15 +56,25 @@ def _as_matrix(value) -> np.ndarray:
 class Node:
     """One value on the tape plus the bookkeeping backward() needs."""
 
-    __slots__ = ("tape", "value", "grad", "op", "parents", "aux")
+    __slots__ = ("_tape", "value", "grad", "op", "parents", "aux")
 
-    def __init__(self, tape, value, op, parents, aux=None):
-        self.tape = tape
+    def __init__(self, tape_ref, value, op, parents, aux=None, grad=None):
+        self._tape = tape_ref
         self.value = value
-        self.grad = np.zeros(value.shape)
+        self.grad = grad
         self.op = op
         self.parents = parents
         self.aux = aux
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape()
+        if tape is None:
+            raise TapeReleasedError(
+                f"the tape of this {self.op!r} node was released; "
+                "record ops only while their tape is alive"
+            )
+        return tape
 
     @property
     def shape(self):
@@ -71,15 +90,26 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self._backward_done = False
+        self._ref = weakref.ref(self)
 
-    def leaf(self, value) -> Node:
-        """Register an input (weights or data) as a gradient-carrying leaf."""
-        return self._record(_as_matrix(value), "leaf", ())
+    def leaf(self, value, grad=None) -> Node:
+        """Register an input (weights or data) as a gradient-carrying leaf.
 
-    def _record(self, value, op, parents, aux=None) -> Node:
+        ``grad``, if given, is the array backward() accumulates this leaf's
+        gradient into (for example a view of a flat gradient buffer); it
+        must have the leaf's shape and is used as it is, not zeroed.
+        """
+        value = _as_matrix(value)
+        if grad is not None and grad.shape != value.shape:
+            raise ShapeMismatchError(
+                f"leaf gradient shape {grad.shape} != value shape {value.shape}"
+            )
+        return self._record(value, "leaf", (), grad=grad)
+
+    def _record(self, value, op, parents, aux=None, grad=None) -> Node:
         if not np.isfinite(value).all():
             raise NonFiniteError(f"op {op!r} produced a non-finite value")
-        node = Node(self, value, op, parents, aux)
+        node = Node(self._ref, value, op, parents, aux, grad)
         self.nodes.append(node)
         return node
 
@@ -255,6 +285,50 @@ def outer_rows(f: Node, p: Node) -> Node:
     return tape._record(np.ascontiguousarray(out), "outer_rows", (f, p))
 
 
+def domain_affine(h: Node, branches) -> Node:
+    """Per-domain normalization with learnable affine, blended by row masks.
+
+    Each branch is ``(mask, offset, inv_std, gamma, beta)``: ``offset`` and
+    ``inv_std`` are constant rows (minus the running mean, one over the
+    running standard deviation), ``gamma`` and ``beta`` are (1, d) nodes, and
+    ``mask`` is a constant 0/1 column selecting the branch's rows, or None
+    for a branch that covers every row.  The value is the sum, in branch
+    order, of ``(((h + offset) * inv_std) * gamma + beta) * mask``: every
+    branch is computed over the whole batch, with the same arithmetic as the
+    ``shift``/``scale``/``mul``/``add`` composition it replaces.
+    """
+    d = h.value.shape[1]
+    parents = [h]
+    kept = []
+    out = None
+    for mask, offset, inv_std, gamma, beta in branches:
+        for node in (gamma, beta):
+            if node.value.shape != (1, d):
+                raise ShapeMismatchError(
+                    f"domain_affine gamma/beta shape {node.value.shape} != {(1, d)}"
+                )
+        if mask is not None:
+            mask = _constant_for(h, mask, "domain_affine")
+        offset = _constant_for(h, offset, "domain_affine")
+        inv_std = _constant_for(h, inv_std, "domain_affine")
+        y = h.value + offset  # then in place, op for op: ((h + offset) * inv_std) * gamma + beta
+        y *= inv_std
+        y *= gamma.value
+        y += beta.value
+        if mask is not None:
+            y *= mask
+        if out is None:
+            out = y
+        else:
+            out += y
+        parents += (gamma, beta)
+        kept.append((mask, offset, inv_std))
+    if out is None:
+        raise ShapeMismatchError("domain_affine needs at least one branch")
+    tape = _check_same_tape(*parents)
+    return tape._record(out, "domain_affine", tuple(parents), aux=kept)
+
+
 def gradient_reverse(a: Node, lam: float) -> Node:
     """Identity forward; backward multiplies the incoming gradient by ``-lam``."""
     lam = float(lam)
@@ -352,6 +426,20 @@ def _back_outer_rows(node):
     p.grad += np.einsum("nik,ni->nk", g, f.value)
 
 
+def _back_domain_affine(node):
+    h = node.parents[0]
+    g = node.grad
+    # Last branch first, as the reversed walk over the unfused ops visited them.
+    for i in range(len(node.aux) - 1, -1, -1):
+        mask, offset, inv_std = node.aux[i]
+        gamma, beta = node.parents[1 + 2 * i], node.parents[2 + 2 * i]
+        xhat = (h.value + offset) * inv_std  # recomputed: no (n, d) array kept per branch
+        gy = g if mask is None else g * mask
+        beta.grad += _unbroadcast(gy, beta.value.shape)
+        gamma.grad += _unbroadcast(gy * xhat, gamma.value.shape)
+        h.grad += (gy * gamma.value) * inv_std
+
+
 def _back_gradient_reverse(node):
     (a,) = node.parents
     a.grad += node.grad * (-node.aux)
@@ -372,12 +460,17 @@ _BACKWARD = {
     "concat_rows": _back_concat_rows,
     "slice_rows": _back_slice_rows,
     "outer_rows": _back_outer_rows,
+    "domain_affine": _back_domain_affine,
     "gradient_reverse": _back_gradient_reverse,
 }
 
 
 def backward(tape: Tape, loss: Node):
-    """Propagate d(loss)/d(node) into every ``node.grad`` on the tape."""
+    """Propagate d(loss)/d(node) into every ``node.grad`` on the tape.
+
+    Nodes without a gradient array get zeros first; a leaf given a ``grad``
+    array accumulates into it as it is.
+    """
     if loss.tape is not tape:
         raise ShapeMismatchError("loss does not belong to this tape")
     if loss.value.shape != (1, 1):
@@ -385,10 +478,13 @@ def backward(tape: Tape, loss: Node):
     if tape._backward_done:
         raise DoubleBackwardError("this tape has already been differentiated")
     tape._backward_done = True
+    for node in tape.nodes:
+        if node.grad is None:
+            node.grad = np.zeros(node.value.shape)
     loss.grad[...] = 1.0
     for node in reversed(tape.nodes):
         if node.op == "leaf":
             continue
-        if not np.any(node.grad):
+        if not node.grad.any():
             continue
         _BACKWARD[node.op](node)

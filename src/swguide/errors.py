@@ -93,3 +93,7 @@ class ConfigInvalidError(GuidanceError):
 
 class UnlabeledError(GuidanceError):
     pass
+
+
+class TapeReleasedError(GuidanceError):
+    """An op was recorded on a node whose tape no longer exists."""

@@ -31,11 +31,14 @@ def classification_loss_node(probs: ad.Node, labels, mask) -> ad.Node:
     count = int(mask.sum())
     if count == 0:
         raise EmptyMaskError("classification loss needs at least one masked row")
+    rows = np.flatnonzero(mask)
+    picked = labels[rows]
+    unusable = (picked < 0) | (picked >= k)
+    if unusable.any():
+        i = rows[unusable.argmax()]
+        raise UnlabeledError(f"masked row {i} has no usable label ({labels[i]})")
     weights = np.zeros((n, k))
-    for i in np.flatnonzero(mask):
-        if labels[i] < 0 or labels[i] >= k:
-            raise UnlabeledError(f"masked row {i} has no usable label ({labels[i]})")
-        weights[i, labels[i]] = -1.0 / count
+    weights[rows, picked] = -1.0 / count
     return ad.weighted_sum(ad.log_rows(probs, ad.PROB_FLOOR), weights)
 
 
@@ -43,7 +46,7 @@ def kd_loss_node(probs: ad.Node, teacher_rows) -> ad.Node:
     """Mean KL(teacher ‖ p) over all rows, both distributions floored.
 
     The teacher-entropy part is constant in the parameters; it is added
-    as a constant node so the reported value is the true divergence.
+    as a constant shift so the reported value is the true divergence.
     """
     teacher = np.asarray(teacher_rows, dtype=np.float64)
     if teacher.shape != probs.value.shape:
@@ -53,7 +56,7 @@ def kd_loss_node(probs: ad.Node, teacher_rows) -> ad.Node:
     n = teacher.shape[0]
     cross = ad.weighted_sum(ad.log_rows(probs, ad.PROB_FLOOR), -teacher / n)
     entropy = float(np.sum(teacher * np.log(np.maximum(teacher, ad.PROB_FLOOR))) / n)
-    return ad.add(cross, probs.tape.leaf([[entropy]]))
+    return ad.shift(cross, [[entropy]])
 
 
 def adversarial_loss_node(d_hat: ad.Node, domain_labels) -> ad.Node:
@@ -71,9 +74,8 @@ def adversarial_loss_node(d_hat: ad.Node, domain_labels) -> ad.Node:
         raise SingleDomainBatchError(
             "adversarial loss needs both domains in the batch"
         )
-    tape = d_hat.tape
     term_pos = ad.weighted_sum(ad.log_rows(d_hat, ad.PROB_FLOOR), -labels / n)
-    one_minus = ad.add(tape.leaf(np.ones((n, 1))), ad.scale(d_hat, -1.0))
+    one_minus = ad.shift(ad.scale(d_hat, -1.0), 1.0)
     term_neg = ad.weighted_sum(ad.log_rows(one_minus, ad.PROB_FLOOR), -(1.0 - labels) / n)
     return ad.add(term_pos, term_neg)
 

@@ -104,6 +104,14 @@ class ModelParams:
             named[f"discriminator.{i}.bias"] = bias
         return named
 
+    def trainable_arrays(self) -> dict[str, np.ndarray]:
+        """``named_arrays()`` without the running statistics, same order."""
+        return {
+            name: array
+            for name, array in self.named_arrays().items()
+            if not name.endswith((".mean", ".var"))
+        }
+
     def copy(self) -> "ModelParams":
         return ModelParams(
             extractor=[(w.copy(), b.copy()) for w, b in self.extractor],
@@ -126,42 +134,90 @@ class ModelParams:
 
 
 def params_from_named(named: dict[str, np.ndarray]) -> ModelParams:
-    """Rebuild ModelParams from the checkpoint dictionary layout."""
-    extractor = []
-    i = 0
-    while f"extractor.{i}.weight" in named:
-        extractor.append((named[f"extractor.{i}.weight"], named[f"extractor.{i}.bias"]))
-        i += 1
-    norm_states = []
-    i = 0
-    while f"norm.{i}.source.gamma" in named:
-        norm_states.append(
-            {
-                domain: NormLayerState(
-                    gamma=named[f"norm.{i}.{domain}.gamma"],
-                    beta=named[f"norm.{i}.{domain}.beta"],
-                    running_mean=named[f"norm.{i}.{domain}.mean"],
-                    running_var=named[f"norm.{i}.{domain}.var"],
-                )
-                for domain in NORM_DOMAINS
-            }
-        )
-        i += 1
-    discriminator = []
-    i = 0
-    while f"discriminator.{i}.weight" in named:
-        discriminator.append(
-            (named[f"discriminator.{i}.weight"], named[f"discriminator.{i}.bias"])
-        )
-        i += 1
-    if not extractor or not discriminator or "classifier.weight" not in named:
+    """Rebuild ModelParams from the checkpoint dictionary layout.
+
+    Every array must be 2-D and every width must agree with its neighbours
+    (a layer's bias and norm states with its weight's columns, the next
+    weight's rows with them, the discriminator input with features ×
+    classes, one discriminator output), so a checkpoint NumPy would only
+    broadcast is rejected with :class:`ShapeMismatchError`.
+    """
+
+    def get(name: str) -> np.ndarray:
+        if name not in named:
+            raise ShapeMismatchError(f"named arrays lack {name!r}")
+        array = named[name]
+        if np.ndim(array) != 2:
+            raise ShapeMismatchError(f"{name} must be 2-D, got shape {np.shape(array)}")
+        return array
+
+    def expect(name: str, array: np.ndarray, shape):
+        if array.shape != shape:
+            raise ShapeMismatchError(f"{name} has shape {array.shape}, expected {shape}")
+
+    def dense(prefix: str, fan_in):
+        weight, bias = get(f"{prefix}.weight"), get(f"{prefix}.bias")
+        if fan_in is not None:
+            expect(f"{prefix}.weight", weight, (fan_in, weight.shape[1]))
+        expect(f"{prefix}.bias", bias, (1, weight.shape[1]))
+        return weight, bias
+
+    def norm_state(i: int, domain: str, width: int) -> NormLayerState:
+        arrays = []
+        for key in ("gamma", "beta", "mean", "var"):
+            name = f"norm.{i}.{domain}.{key}"
+            arrays.append(get(name))
+            expect(name, arrays[-1], (1, width))
+        return NormLayerState(*arrays)
+
+    if "extractor.0.weight" not in named or "discriminator.0.weight" not in named:
         raise ShapeMismatchError("named arrays do not describe a complete model")
+    extractor = []
+    norm_states = []
+    width = None
+    while f"extractor.{len(extractor)}.weight" in named:
+        i = len(extractor)
+        weight, bias = dense(f"extractor.{i}", width)
+        width = weight.shape[1]
+        extractor.append((weight, bias))
+        norm_states.append({domain: norm_state(i, domain, width) for domain in NORM_DOMAINS})
+    if f"norm.{len(extractor)}.source.gamma" in named:
+        raise ShapeMismatchError(f"norm layer {len(extractor)} has no extractor layer")
+    classifier = dense("classifier", width)
+    discriminator = []
+    fan_in = width * classifier[0].shape[1]
+    while f"discriminator.{len(discriminator)}.weight" in named:
+        weight, bias = dense(f"discriminator.{len(discriminator)}", fan_in)
+        fan_in = weight.shape[1]
+        discriminator.append((weight, bias))
+    if fan_in != 1:
+        raise ShapeMismatchError(
+            f"the last discriminator layer has {fan_in} outputs, expected 1"
+        )
     return ModelParams(
         extractor=extractor,
         norm_states=norm_states,
-        classifier=(named["classifier.weight"], named["classifier.bias"]),
+        classifier=classifier,
         discriminator=discriminator,
     )
+
+
+def pack_trainable(params: ModelParams) -> tuple[np.ndarray, ModelParams]:
+    """Copy the trainable arrays into one flat float64 vector.
+
+    Returns the vector and a ModelParams whose trainable arrays are views
+    of it, laid out in ``trainable_arrays()`` order; the running statistics
+    are shared with ``params``.  An optimizer can then update every
+    trainable array with a handful of vector ops.
+    """
+    named = params.named_arrays()
+    trainable = params.trainable_arrays()
+    flat = np.concatenate([array.ravel() for array in trainable.values()])
+    offset = 0
+    for name, array in trainable.items():
+        named[name] = flat[offset : offset + array.size].reshape(array.shape)
+        offset += array.size
+    return flat, params_from_named(named)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -229,18 +285,40 @@ class ParamNodes:
         return named
 
 
-def lift(tape: ad.Tape, params: ModelParams) -> ParamNodes:
-    """Put every trainable array on the tape as a leaf (stats stay constant)."""
-    extractor = [(tape.leaf(w), tape.leaf(b)) for w, b in params.extractor]
+def lift(tape: ad.Tape, params: ModelParams, grad: np.ndarray | None = None) -> ParamNodes:
+    """Put every trainable array on the tape as a leaf (stats stay constant).
+
+    ``grad``, if given, is a flat vector laid out like the buffer of
+    :func:`pack_trainable`; each leaf accumulates its gradient into its view
+    of it, so after backward() it holds the whole model's gradient.
+    """
+    offset = 0
+
+    def leaf(array):
+        nonlocal offset
+        if grad is None:
+            return tape.leaf(array)
+        end = offset + array.size
+        if end > grad.size:
+            raise ShapeMismatchError(f"flat gradient of {grad.size} entries is too short")
+        node = tape.leaf(array, grad[offset:end].reshape(array.shape))
+        offset = end
+        return node
+
+    extractor = [(leaf(w), leaf(b)) for w, b in params.extractor]
     norms = [
         {
-            domain: (tape.leaf(state.gamma), tape.leaf(state.beta))
-            for domain, state in states.items()
+            domain: (leaf(states[domain].gamma), leaf(states[domain].beta))
+            for domain in NORM_DOMAINS
         }
         for states in params.norm_states
     ]
-    classifier = (tape.leaf(params.classifier[0]), tape.leaf(params.classifier[1]))
-    discriminator = [(tape.leaf(w), tape.leaf(b)) for w, b in params.discriminator]
+    classifier = (leaf(params.classifier[0]), leaf(params.classifier[1]))
+    discriminator = [(leaf(w), leaf(b)) for w, b in params.discriminator]
+    if grad is not None and offset != grad.size:
+        raise ShapeMismatchError(
+            f"flat gradient has {grad.size} entries, the model {offset}"
+        )
     return ParamNodes(
         extractor=extractor,
         norms=norms,
@@ -249,8 +327,9 @@ def lift(tape: ad.Tape, params: ModelParams) -> ParamNodes:
     )
 
 
-def _domain_masks(domain_tags) -> dict[str, np.ndarray]:
-    """(n, 1) 0/1 column per domain present, in fixed NORM_DOMAINS order."""
+def _domain_masks(domain_tags) -> dict[str, np.ndarray | None]:
+    """(n, 1) 0/1 column per domain present, in fixed NORM_DOMAINS order;
+    None when a single domain covers every row."""
     tags = list(domain_tags)
     for tag in tags:
         if tag not in NORM_DOMAINS:
@@ -260,6 +339,8 @@ def _domain_masks(domain_tags) -> dict[str, np.ndarray]:
         column = np.array([[1.0] if tag == domain else [0.0] for tag in tags])
         if column.sum() > 0:
             masks[domain] = column
+    if len(masks) == 1:
+        return dict.fromkeys(masks)
     return masks
 
 
@@ -274,9 +355,10 @@ def forward_on_tape(
     """Differentiable forward pass: returns (f, logits, p[, prenorm values]).
 
     ``params`` supplies the constant running statistics; ``nodes`` the
-    trainable leaves.  Each norm layer computes every domain's normalized
-    output over the whole batch and blends them with 0/1 row masks, so a
-    single tape serves mixed-domain batches.
+    trainable leaves.  Each norm layer is one ``domain_affine`` node: it
+    computes every domain's normalized output over the whole batch and
+    blends them with 0/1 row masks, so a single tape serves mixed-domain
+    batches.
     """
     tags = list(domain_tags)
     if x.value.shape[0] != len(tags):
@@ -292,14 +374,10 @@ def forward_on_tape(
         for domain, mask in masks.items():
             state = params.norm_states[layer][domain]
             gamma, beta = nodes.norms[layer][domain]
-            centered = ad.shift(h, -state.running_mean)
-            xhat = ad.scale(centered, 1.0 / np.sqrt(state.running_var))
-            y = ad.add(ad.mul(xhat, gamma), beta)
-            branches.append(ad.scale(y, mask) if len(masks) > 1 else y)
-        out = branches[0]
-        for branch in branches[1:]:
-            out = ad.add(out, branch)
-        h = ad.relu(out)
+            branches.append(
+                (mask, -state.running_mean, 1.0 / np.sqrt(state.running_var), gamma, beta)
+            )
+        h = ad.relu(ad.domain_affine(h, branches))
     features = h
     logits = ad.add(ad.matmul(features, nodes.classifier[0]), nodes.classifier[1])
     probs = ad.softmax_rows(logits, 1.0)

@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .calibration import SoftLabelSet, sharpen, solve_temperature
 from .data import DomainDataset, EpisodeMetrics, logit_matrix, rng_for
-from .errors import ConfigInvalidError, UnlabeledError
+from .errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
 from .expansion import (
     POLICIES,
     expand_dataset,
@@ -48,11 +48,26 @@ from .model import (
     forward_on_tape,
     init_params,
     lift,
+    pack_trainable,
 )
 from .norm_adapt import adapt_model
 
 SCHEMES = ("v1", "v2", "weak_only", "cdan_only", "zeroshot_only")
 LAMBDA_MODES = ("fixed", "ramp")
+# Config fields that must be finite numbers (tau may also be None).
+_FLOAT_FIELDS = (
+    "tau",
+    "expansion_fraction",
+    "v2_fraction_first",
+    "v2_fraction_second",
+    "lr_extractor",
+    "lr_heads",
+    "lambda_value",
+    "augment_noise",
+    "w_ce",
+    "w_kd",
+    "w_ad",
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,10 @@ class TrainConfig:
     pseudo_source_adversarial_domain: str = "source"
 
     def validate(self, n_classes: int | None = None):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigInvalidError(f"{name} must be a finite number, got {value}")
         if self.scheme not in SCHEMES:
             raise ConfigInvalidError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.tau is not None:
@@ -142,28 +161,51 @@ class RunResult:
 
 
 class Adam:
-    """Standard Adam moments over a dict of named parameter arrays."""
+    """Standard Adam moments over one flat parameter vector, updated in place.
 
-    def __init__(self, params: dict[str, np.ndarray], learning_rates: dict[str, float],
+    ``learning_rates`` holds one rate per entry of ``params``.  Every op is
+    elementwise and runs in the order of the textbook per-array update
+
+        m = β1·m + (1−β1)·g;  v = β2·v + (1−β2)·g²
+        p -= lr · (m / (1−β1ᵗ)) / (√(v / (1−β2ᵗ)) + ε)
+
+    so each entry's arithmetic is exactly that of a separate per-array
+    update; two scratch vectors hold the temporaries.
+    """
+
+    def __init__(self, params: np.ndarray, learning_rates: np.ndarray,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        if params.ndim != 1 or learning_rates.shape != params.shape:
+            raise ShapeMismatchError(
+                f"Adam needs a flat parameter vector and one learning rate per entry, "
+                f"got {params.shape} and {learning_rates.shape}"
+            )
         self.params = params
         self.learning_rates = learning_rates
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
+        self._denom = np.empty_like(params)
+        self._update = np.empty_like(params)
 
-    def step(self, grads: dict[str, np.ndarray]):
+    def step(self, grad: np.ndarray):
         self.t += 1
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p -= self.learning_rates[name] * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, denom, update = self.m, self.v, self._denom, self._update
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=update)
+        m += update
+        v *= self.beta2
+        np.multiply(grad, grad, out=update)
+        update *= 1.0 - self.beta2
+        v += update
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=update)
+        update *= self.learning_rates
+        update /= denom
+        self.params -= update
 
 
 def learning_rate_for(name: str, config: TrainConfig) -> float:
@@ -246,13 +288,20 @@ def _single_run(
     fraction: float | None = None,
     scores_override=None,
     episode_offset: int = 0,
+    teachers=None,
 ) -> RunResult:
-    """One calibrate → expand → adapt → train cycle; the heart of every scheme."""
+    """One calibrate → expand → adapt → train cycle; the heart of every scheme.
+
+    ``teachers`` is the result of :func:`build_teachers` for these inputs,
+    when the caller already has it.
+    """
     if fraction is None:
         fraction = config.expansion_fraction
     target_train = target.without_labels()
 
-    temperature, _, teacher_target, teacher_all = build_teachers(config, source, target)
+    if teachers is None:
+        teachers = build_teachers(config, source, target)
+    temperature, _, teacher_target, teacher_all = teachers
     scores = scores_override
     if scores is None:
         scores = score_from_soft_labels(teacher_target)
@@ -267,7 +316,17 @@ def _single_run(
         hidden_dim=config.hidden_dim,
         disc_hidden=config.disc_hidden,
     )
-    params = adapt_model(params, expanded, target_train)
+    # Trainable arrays become views of one flat vector, and each step's
+    # gradients land in one flat vector, so Adam is a few vector ops.
+    flat, params = pack_trainable(adapt_model(params, expanded, target_train))
+    grad = np.zeros_like(flat)
+    learning_rates = np.concatenate(
+        [
+            np.full(array.size, learning_rate_for(name, config))
+            for name, array in params.trainable_arrays().items()
+        ]
+    )
+    optimizer = Adam(flat, learning_rates)
 
     # Row-aligned with ``expanded`` and ``target_train``, so each batch gathers
     # its teacher rows and domain labels with the indices that gather features.
@@ -279,15 +338,6 @@ def _single_run(
             for role in expanded.roles
         ],
         dtype=np.float64,
-    )
-
-    trainable = {
-        name: array
-        for name, array in params.named_arrays().items()
-        if not name.endswith(".mean") and not name.endswith(".var")
-    }
-    optimizer = Adam(
-        trainable, {name: learning_rate_for(name, config) for name in trainable}
     )
 
     src_half = math.ceil(config.batch_size / 2)
@@ -336,7 +386,8 @@ def _single_run(
             domain_labels = np.concatenate([half_labels, half_labels]).reshape(-1, 1)
 
             tape = ad.Tape()
-            nodes = lift(tape, params)
+            grad.fill(0.0)
+            nodes = lift(tape, params, grad)
             x = tape.leaf(batch_x)
             features, _, probs = forward_on_tape(tape, nodes, params, x, batch_tags)
 
@@ -365,8 +416,7 @@ def _single_run(
             for term in terms[1:]:
                 total = ad.add(total, term)
             ad.backward(tape, total)
-            named_nodes = nodes.named_nodes()
-            optimizer.step({name: named_nodes[name].grad for name in trainable})
+            optimizer.step(grad)
 
             step_ce.append(l_ce)
             step_kd.append(l_kd)
@@ -424,14 +474,20 @@ def _zeroshot_only(config, source, target) -> RunResult:
 
 def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> RunResult:
     """Two-run scheme: run-1 predictions are mixed into run-2 scores."""
+    teachers = build_teachers(config, source, target)
+    _, _, teacher_target, _ = teachers
     run1 = _single_run(
-        config, source, target, run_tag="run1", fraction=config.v2_fraction_first
+        config,
+        source,
+        target,
+        run_tag="run1",
+        fraction=config.v2_fraction_first,
+        teachers=teachers,
     )
     previous = SoftLabelSet(
         probs=run1.prediction_probs, sample_ids=run1.prediction_ids, temperature_used=1.0
     )
 
-    _, _, teacher_target, _ = build_teachers(config, source, target)
     scores = mix_scores(previous, teacher_target)
     run2 = _single_run(
         config,
@@ -441,6 +497,7 @@ def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) ->
         fraction=config.v2_fraction_second,
         scores_override=scores,
         episode_offset=config.episodes,
+        teachers=teachers,
     )
     run2.metrics = run1.metrics + run2.metrics
     run2.first_run = run1

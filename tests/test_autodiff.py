@@ -16,9 +16,11 @@ from swguide import autodiff as ad
 from swguide.data import rng_for
 from swguide.errors import (
     DoubleBackwardError,
+    GuidanceError,
     NonFiniteError,
     NotScalarError,
     ShapeMismatchError,
+    TapeReleasedError,
 )
 
 from helpers import rel_error
@@ -227,6 +229,35 @@ def test_one_dim_inputs_promoted_to_rows():
     assert leaf.value.shape == (1, 3)
 
 
+def test_op_on_a_node_whose_tape_was_released_is_an_error():
+    leaf = ad.Tape().leaf([[1.0, -2.0]])  # nothing keeps the tape alive
+    with pytest.raises(TapeReleasedError, match="released") as info:
+        ad.relu(leaf)
+    assert isinstance(info.value, GuidanceError)
+    np.testing.assert_array_equal(leaf.value, [[1.0, -2.0]])  # the value survives
+
+
+def test_gradients_are_allocated_only_by_backward():
+    tape = ad.Tape()
+    x = tape.leaf([[1.0, 2.0]])
+    y = ad.relu(ad.scale(x, 3.0))
+    assert x.grad is None and y.grad is None
+    ad.backward(tape, ad.mean(y))
+    np.testing.assert_array_equal(x.grad, [[1.5, 1.5]])
+    assert all(node.grad.shape == node.value.shape for node in tape.nodes)
+
+
+def test_leaf_accumulates_into_the_gradient_array_it_is_given():
+    buffer = np.zeros(4)
+    tape = ad.Tape()
+    a = tape.leaf([[1.0, 2.0]], buffer[:2].reshape(1, 2))
+    b = tape.leaf([[3.0, 4.0]], buffer[2:].reshape(1, 2))
+    ad.backward(tape, ad.weighted_sum(ad.mul(a, b), np.ones((1, 2))))
+    np.testing.assert_array_equal(buffer, [3.0, 4.0, 1.0, 2.0])
+    with pytest.raises(ShapeMismatchError):
+        tape.leaf([[1.0, 2.0]], np.zeros((2, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checks, every op, many seeds
 # ---------------------------------------------------------------------------
@@ -298,6 +329,84 @@ def test_constant_ops_reject_shapes_that_grow_the_value():
         ad.shift(a, np.ones((3, 3)))
     with pytest.raises(ShapeMismatchError):
         ad.scale(a, np.ones((2, 2)))
+
+
+def _affine_branches(rng, n, d, split):
+    """Per-domain constants for ``domain_affine``: rows before ``split`` are
+    source, the rest target; a single-domain batch gets one unmasked branch."""
+    source = (np.arange(n) < split).astype(np.float64).reshape(n, 1)
+    masks = [source, 1.0 - source]
+    present = [m for m in masks if m.any()]
+    constants = []
+    for mask in present:
+        offset = rng.standard_normal((1, d))
+        inv_std = 1.0 / np.sqrt(0.5 + rng.random((1, d)))
+        constants.append((mask if len(present) > 1 else None, offset, inv_std))
+    return constants
+
+
+def _affine(constants, h, *params):
+    branches = [
+        (mask, offset, inv_std, params[2 * i], params[2 * i + 1])
+        for i, (mask, offset, inv_std) in enumerate(constants)
+    ]
+    return ad.domain_affine(h, branches)
+
+
+def _unfused_affine(constants, h, *params):
+    out = None
+    for i, (mask, offset, inv_std) in enumerate(constants):
+        xhat = ad.scale(ad.shift(h, offset), inv_std)
+        y = ad.add(ad.mul(xhat, params[2 * i]), params[2 * i + 1])
+        y = y if mask is None else ad.scale(y, mask)
+        out = y if out is None else ad.add(out, y)
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_domain_affine(seed):
+    rng = rng_for(seed, "g-domain-affine")
+    n, d = 5, 3
+    constants = _affine_branches(rng, n, d, split=2)
+    inputs = [rng.standard_normal((n, d))] + [
+        rng.standard_normal((1, d)) for _ in range(2 * len(constants))
+    ]
+    _fd_check(lambda *leaves: _affine(constants, *leaves), inputs, seed)
+
+
+@pytest.mark.parametrize("split", [3, 6, 0], ids=["mixed", "source-only", "target-only"])
+def test_domain_affine_matches_the_unfused_ops_bit_for_bit(split):
+    rng = rng_for(split, "domain-affine-vs-unfused")
+    n, d = 6, 4
+    constants = _affine_branches(rng, n, d, split)
+    inputs = [rng.standard_normal((n, d))] + [
+        rng.standard_normal((1, d)) for _ in range(2 * len(constants))
+    ]
+    weights = rng.standard_normal((n, d))
+    results = []
+    for build in (_affine, _unfused_affine):
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in inputs]
+        out = build(constants, *leaves)
+        ad.backward(tape, ad.weighted_sum(ad.relu(out), weights))
+        results.append((out.value, [leaf.grad for leaf in leaves]))
+    (fused, fused_grads), (unfused, unfused_grads) = results
+    np.testing.assert_array_equal(fused, unfused)
+    for a, b in zip(fused_grads, unfused_grads):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_domain_affine_rejects_bad_shapes():
+    tape = ad.Tape()
+    h = tape.leaf(np.ones((3, 2)))
+    row = tape.leaf(np.ones((1, 2)))
+    ok = (np.zeros((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ShapeMismatchError):
+        ad.domain_affine(h, [(None, *ok, tape.leaf(np.ones((1, 3))), row)])
+    with pytest.raises(ShapeMismatchError):
+        ad.domain_affine(h, [(np.ones((2, 1)), *ok, row, row)])
+    with pytest.raises(ShapeMismatchError):
+        ad.domain_affine(h, [])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -6,9 +6,11 @@ import pytest
 from swguide.cli import main
 from swguide.data import (
     DomainDataset,
+    read_array_file,
     read_dataset,
     read_metrics,
     read_predictions,
+    write_array_file,
     write_dataset,
 )
 
@@ -305,6 +307,55 @@ def test_out_of_range_flag_values_exit_2(bench, capsys, command, extra):
     code = main([command, "--source", source, "--target", target, *extra])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--lr-heads", "lr_heads"),
+        ("--lambda-value", "lambda_value"),
+        ("--augment-noise", "augment_noise"),
+        ("--w-kd", "w_kd"),
+        ("--expansion-fraction", "expansion_fraction"),
+    ],
+    ids=["learning-rate", "lambda", "augment-noise", "loss-weight", "fraction"],
+)
+def test_nan_config_values_exit_2_naming_the_field(bench, capsys, flag, field):
+    source, target = bench
+    code = main(_train_args(source, target, flag, "nan"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and "non-finite" not in err
+
+
+@pytest.fixture(scope="module")
+def checkpoint(bench, tmp_path_factory):
+    """The checkpoint of one small training run."""
+    source, target = bench
+    out_dir = tmp_path_factory.mktemp("ckpt") / "run"
+    assert main(_train_args(source, target, "--out", str(out_dir))) == 0
+    return read_array_file(out_dir / "checkpoint.txt")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"extractor.0.bias": np.zeros((1, 1))},
+        {"classifier.bias": np.zeros((1, 1))},
+        {f"norm.0.target.{key}": np.ones((1, 1)) for key in ("gamma", "beta", "mean", "var")},
+    ],
+    ids=["extractor-bias", "classifier-bias", "norm-target-states"],
+)
+def test_eval_rejects_a_checkpoint_with_a_broadcastable_width(
+    bench, checkpoint, tmp_path, capsys, changes
+):
+    _, target = bench
+    path = tmp_path / "checkpoint.txt"
+    write_array_file(path, {**checkpoint, **changes})
+    code = main(["eval", "--checkpoint", str(path), "--dataset", target])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and next(iter(changes)) in err
 
 
 def test_train_missing_dataset_file_is_a_clean_error(tmp_path, capsys):

@@ -18,11 +18,13 @@ from swguide.model import (
     forward,
     init_params,
     lift,
+    pack_trainable,
     params_from_named,
     predict_logits,
 )
 from swguide import autodiff as ad
-from swguide.model import forward_on_tape
+from swguide.losses import adversarial_loss_node
+from swguide.model import discriminate_on_tape, forward_on_tape
 
 from helpers import (
     fd_reference_grads,
@@ -81,6 +83,84 @@ def test_named_arrays_round_trip_via_checkpoint_file(tmp_path):
         np.testing.assert_array_equal(rebuilt_named[name], array)
     with pytest.raises(ShapeMismatchError):
         params_from_named({"classifier.weight": np.zeros((2, 2))})
+
+
+def _set_width_one_norm_state(named):
+    for key in ("gamma", "beta", "mean", "var"):
+        named[f"norm.0.target.{key}"] = np.ones((1, 1))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda named: named.update({"extractor.0.bias": np.zeros((1, 1))}),
+        lambda named: named.update({"classifier.bias": np.zeros((1, 1))}),
+        _set_width_one_norm_state,
+        lambda named: named.update({"extractor.1.weight": np.zeros((3, 4))}),
+        lambda named: named.update({"classifier.weight": np.zeros((5, 3))}),
+        lambda named: named.update({"discriminator.0.weight": np.zeros((11, 3))}),
+        lambda named: named.update(
+            {"discriminator.1.weight": np.zeros((3, 2)), "discriminator.1.bias": np.zeros((1, 2))}
+        ),
+        lambda named: named.update({"extractor.0.bias": np.zeros(4)}),
+        lambda named: named.pop("classifier.bias"),
+        lambda named: named.pop("norm.1.source.var"),
+        lambda named: named.update({"norm.2.source.gamma": np.ones((1, 4))}),
+    ],
+    ids=[
+        "extractor-bias-1x1", "classifier-bias-1x1", "norm-state-width-1",
+        "extractor-fan-in", "classifier-fan-in", "discriminator-input-width",
+        "discriminator-output-width", "one-dimensional-bias", "missing-bias",
+        "missing-norm-field", "norm-layer-without-extractor",
+    ],
+)
+def test_params_from_named_rejects_inconsistent_widths(corrupt):
+    named = tiny_model(0).named_arrays()
+    params_from_named(dict(named))  # the untouched layout is accepted
+    corrupt(named)
+    with pytest.raises(ShapeMismatchError):
+        params_from_named(named)
+
+
+def test_pack_trainable_makes_views_of_one_flat_vector():
+    params = tiny_model(3)
+    flat, packed = pack_trainable(params)
+    trainable = packed.trainable_arrays()
+    assert list(trainable) == trainable_names(params)
+    assert flat.size == sum(array.size for array in trainable.values())
+    for name, array in params.named_arrays().items():
+        np.testing.assert_array_equal(packed.named_arrays()[name], array)
+    flat += 1.0
+    for name, array in trainable.items():
+        np.testing.assert_array_equal(array, params.named_arrays()[name] + 1.0)
+    assert packed.norm_states[0]["source"].running_var is params.norm_states[0]["source"].running_var
+
+
+def test_lift_with_a_flat_gradient_fills_it_like_separate_leaves():
+    params = tiny_model(4)
+    batch = tiny_batch(4)
+    expected = model_loss_grads(params, batch, "ad", lam=0.7)
+    flat, packed = pack_trainable(params)
+    grad = np.zeros_like(flat)
+    tape = ad.Tape()
+    nodes = lift(tape, packed, grad)
+    features, _, probs = forward_on_tape(tape, nodes, packed, tape.leaf(batch["x"]), batch["tags"])
+    d_hat = discriminate_on_tape(tape, nodes, ad.outer_rows(features, probs), 0.7)
+    ad.backward(tape, adversarial_loss_node(d_hat, batch["domain_labels"]))
+    np.testing.assert_array_equal(grad, np.concatenate([expected[n].ravel() for n in expected]))
+    with pytest.raises(ShapeMismatchError):
+        lift(ad.Tape(), packed, np.zeros(flat.size + 1))
+    with pytest.raises(ShapeMismatchError):
+        lift(ad.Tape(), packed, np.zeros(flat.size - 1))
+
+
+def test_eager_forward_allocates_no_gradients():
+    params = tiny_model(5)
+    tape = ad.Tape()
+    nodes = lift(tape, params)
+    forward_on_tape(tape, nodes, params, tape.leaf(np.ones((2, 4))), ["source", "target"])
+    assert all(node.grad is None for node in tape.nodes)
+    assert sum(node.op == "domain_affine" for node in tape.nodes) == len(params.extractor)
 
 
 def test_copy_is_deep_for_trainables_and_stats():

@@ -2,19 +2,21 @@
 schedules, scheme dispatch, and run determinism."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from swguide.calibration import mean_winning_probability, stable_softmax
+from swguide.calibration import mean_winning_probability, solve_temperature, stable_softmax
 from swguide.data import (
     SyntheticSpec,
     logit_matrix,
     make_benchmark,
     rng_for,
 )
-from swguide.errors import ConfigInvalidError, UnlabeledError
+from swguide.errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
+from swguide.model import forward
 from swguide.trainer import (
     Adam,
     TrainConfig,
@@ -75,6 +77,12 @@ def small_config(**overrides):
         dict(w_ce=0.0, w_kd=0.0, w_ad=0.0),
         dict(hidden_dim=0),
         dict(pseudo_source_adversarial_domain="both"),
+        dict(lr_extractor=float("nan")),
+        dict(lr_heads=float("inf")),
+        dict(lambda_value=float("nan")),
+        dict(augment_noise=float("inf")),
+        dict(w_kd=float("nan")),
+        dict(v2_fraction_second=float("nan")),
     ],
 )
 def test_config_validation_rejects_bad_values(overrides):
@@ -101,21 +109,45 @@ def test_default_config_is_valid():
 
 
 def test_adam_first_steps_by_hand():
-    p = {"w": np.array([[0.0]])}
-    opt = Adam(p, {"w": 0.01})
-    opt.step({"w": np.array([[1.0]])})
+    p = np.array([0.0])
+    opt = Adam(p, np.array([0.01]))
+    opt.step(np.array([1.0]))
     # Bias correction makes the first update a full learning-rate step.
-    assert p["w"][0, 0] == pytest.approx(-0.01, rel=1e-6)
-    opt.step({"w": np.array([[1.0]])})
-    assert p["w"][0, 0] == pytest.approx(-0.02, rel=1e-6)
+    assert p[0] == pytest.approx(-0.01, rel=1e-6)
+    opt.step(np.array([1.0]))
+    assert p[0] == pytest.approx(-0.02, rel=1e-6)
 
 
 def test_adam_updates_each_entry_independently():
-    p = {"w": np.zeros((1, 2))}
-    opt = Adam(p, {"w": 0.1})
-    opt.step({"w": np.array([[1.0, 0.0]])})
-    assert p["w"][0, 0] < 0.0
-    assert p["w"][0, 1] == 0.0
+    p = np.zeros(2)
+    opt = Adam(p, np.array([0.1, 0.1]))
+    opt.step(np.array([1.0, 0.0]))
+    assert p[0] < 0.0
+    assert p[1] == 0.0
+
+
+def test_flat_adam_matches_separate_per_array_updates_bit_for_bit():
+    rng = rng_for(0, "flat-adam")
+    arrays = [rng.standard_normal((3, 4)), rng.standard_normal((1, 4))]
+    rates = [5e-4, 5e-3]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    opt = Adam(flat, np.concatenate([np.full(a.size, r) for a, r in zip(arrays, rates)]))
+    moments = [[np.zeros_like(a), np.zeros_like(a)] for a in arrays]
+    for t in range(1, 6):
+        grads = [rng.standard_normal(a.shape) for a in arrays]
+        opt.step(np.concatenate([g.ravel() for g in grads]))
+        for p, g, (m, v), lr in zip(arrays, grads, moments, rates):
+            m[...] = 0.9 * m + (1.0 - 0.9) * g
+            v[...] = 0.999 * v + (1.0 - 0.999) * (g * g)
+            p -= lr * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+    np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+
+
+def test_adam_needs_a_flat_vector_and_one_rate_per_entry():
+    with pytest.raises(ShapeMismatchError):
+        Adam(np.zeros((1, 2)), np.full((1, 2), 0.1))
+    with pytest.raises(ShapeMismatchError):
+        Adam(np.zeros(3), np.full(2, 0.1))
 
 
 def test_learning_rate_routing():
@@ -328,3 +360,42 @@ def test_seed_changes_the_run():
     a = run(small_config(seed=0), source, target)
     b = run(small_config(seed=1), source, target)
     assert not np.array_equal(a.prediction_probs, b.prediction_probs)
+
+
+def test_v2_calibrates_once(monkeypatch):
+    import swguide.trainer as trainer
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_temperature(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "solve_temperature", counting)
+    source, target = small_benchmark()
+    run(small_config(scheme="v2"), source, target)
+    assert len(calls) == 1
+
+
+def test_finished_tapes_are_freed_without_the_garbage_collector():
+    source, target = small_benchmark()
+    config = small_config(scheme="v1")
+    gc.collect()
+    gc.disable()
+    try:
+        result = run(config, source, target)
+        forward(result.params, target.features, ("target",) * len(target))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def test_trained_params_are_views_of_one_flat_buffer():
+    source, target = small_benchmark()
+    result = run(small_config(scheme="v1"), source, target)
+    trainable = list(result.params.trainable_arrays().values())
+    base = trainable[0].base
+    assert base is not None and base.ndim == 1
+    assert all(array.base is base for array in trainable)
+    assert base.size == sum(array.size for array in trainable)

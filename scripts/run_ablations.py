@@ -24,18 +24,12 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from run_benchmark import parse_seeds
 from swguide.data import SyntheticSpec, make_benchmark
 from swguide.trainer import TrainConfig, run
 
 FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 TAUS = (None, 0.7, 0.8, 0.9, 0.95)
-
-
-def parse_seeds(raw: str) -> list[int]:
-    if "-" in raw:
-        lo, hi = raw.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in raw.split(",")]
 
 
 def sweep(benchmarks, configs, label, key):

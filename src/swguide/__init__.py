@@ -28,21 +28,13 @@ from .data import (
     write_dataset,
 )
 from .expansion import (
-    ExpansionScore,
     ExpansionSelection,
     expand_dataset,
     mix_scores,
-    score_from_soft_labels,
     select_pseudo_source,
 )
 from .losses import adversarial_loss, classification_loss, kd_loss
-from .model import (
-    ModelParams,
-    NormLayerState,
-    discriminate,
-    forward,
-    init_params,
-)
+from .model import ModelParams, NormLayerState, forward, init_params
 from .norm_adapt import adapt_model, adjust_params, estimate_stats
 from .trainer import RunResult, TrainConfig, evaluate, run, run_v2
 
@@ -65,18 +57,15 @@ __all__ = [
     "rng_for",
     "simulate_zeroshot",
     "write_dataset",
-    "ExpansionScore",
     "ExpansionSelection",
     "expand_dataset",
     "mix_scores",
-    "score_from_soft_labels",
     "select_pseudo_source",
     "adversarial_loss",
     "classification_loss",
     "kd_loss",
     "ModelParams",
     "NormLayerState",
-    "discriminate",
     "forward",
     "init_params",
     "adapt_model",

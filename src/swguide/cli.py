@@ -215,9 +215,12 @@ def _run_sweep(tasks, jobs: int) -> list[tuple[str, float]]:
 def _parse_list(flag: str, raw: str, parse) -> list:
     """``parse`` of each stripped entry of a comma-separated ``--flag`` value."""
     try:
-        return [parse(v.strip()) for v in raw.split(",") if v != ""]
+        values = [parse(v.strip()) for v in raw.split(",") if v != ""]
     except ValueError:
         raise ConfigInvalidError(f"bad value {raw!r} for --{flag}") from None
+    if not values:
+        raise ConfigInvalidError(f"--{flag} needs at least one value, got {raw!r}")
+    return values
 
 
 def _sweep_table(pairs, key: str) -> list[str]:
@@ -239,6 +242,8 @@ def _sweep(args, flag: str, key: str, setting) -> int:
     ``setting`` maps one entry of ``--flag`` to its table label and the
     config fields it overrides; runs go to ``OUT/{key}_{label}/seed_{seed}``.
     """
+    if args.jobs < 1:
+        raise ConfigInvalidError(f"--jobs must be >= 1, got {args.jobs}")
     config = build_train_config(args)
     settings = _parse_list(flag, getattr(args, flag), setting)
     seeds = _parse_list("seeds", args.seeds, int)

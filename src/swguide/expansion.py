@@ -1,10 +1,11 @@
 """Confidence-ranked expansion of the source set with pseudo-labeled targets.
 
-Target samples are scored by their soft-label confidence (optionally mixed
-with a previous run's predictions), the top fraction is selected — either
-globally or per predicted class — and copies of the winners are appended
-to the source dataset with hard pseudo-labels.  The originals stay in the
-target set untouched.
+Target rows are scored by an (n, K) matrix row-aligned with the target —
+the soft labels, optionally mixed with a previous run's predictions — the
+top fraction of rows is selected, either globally or per predicted class,
+and copies of the winners are appended to the source dataset with hard
+pseudo-labels.  The originals stay in the target set untouched.  Sample
+ids only break ties and name the selected rows.
 """
 
 from __future__ import annotations
@@ -28,81 +29,28 @@ DEFAULT_POLICY = "class_balanced"
 
 
 @dataclass(frozen=True)
-class ExpansionScore:
-    """Per-sample selection score with its implied hard prediction."""
-
-    sample_id: str
-    score_vector: np.ndarray
-    winning_class: int
-    winning_score: float
-
-    @classmethod
-    def from_vector(cls, sample_id: str, vector) -> "ExpansionScore":
-        vector = np.ascontiguousarray(np.asarray(vector, dtype=np.float64))
-        return cls(
-            sample_id=sample_id,
-            score_vector=vector,
-            winning_class=int(np.argmax(vector)),  # ties go to the lowest class
-            winning_score=float(vector.max()),
-        )
-
-    def __post_init__(self):
-        vector = np.asarray(self.score_vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ClassMismatchError(f"score vector must be 1-D, got {vector.ndim}-D")
-        if self.winning_class != int(np.argmax(vector)):
-            raise ClassMismatchError(
-                f"winning_class {self.winning_class} is not the argmax of the scores"
-            )
-        if self.winning_score != float(vector.max()):
-            raise ClassMismatchError(
-                f"winning_score {self.winning_score} is not the max of the scores"
-            )
-
-
-@dataclass(frozen=True)
-class SelectionEntry:
-    sample_id: str
-    pseudo_label: int
-    winning_score: float
-
-
-@dataclass(frozen=True)
 class ExpansionSelection:
-    """The chosen target samples, ordered by descending confidence."""
+    """The chosen target rows, ordered by descending winning score.
 
-    entries: tuple[SelectionEntry, ...]
+    ``rows`` index the target the scores were computed on; ``sample_ids``
+    names those rows, so a selection can be checked against a dataset.
+    """
+
+    rows: np.ndarray
+    pseudo_labels: np.ndarray
+    winning_scores: np.ndarray
+    sample_ids: tuple[str, ...]
     fraction: float
     policy: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        ids = [e.sample_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ClassMismatchError("selection contains duplicate sample ids")
-        scores = [e.winning_score for e in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ClassMismatchError("selection entries must be sorted by descending score")
-
-    @property
-    def sample_ids(self) -> tuple[str, ...]:
-        return tuple(e.sample_id for e in self.entries)
-
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
 
-def score_from_soft_labels(labels: SoftLabelSet) -> list[ExpansionScore]:
-    """One score per sample; the score vector is the probability row itself."""
-    return [
-        ExpansionScore.from_vector(sid, labels.probs[i])
-        for i, sid in enumerate(labels.sample_ids)
-    ]
-
-
-def mix_scores(prev: SoftLabelSet, zeroshot: SoftLabelSet) -> list[ExpansionScore]:
+def mix_scores(prev: SoftLabelSet, zeroshot: SoftLabelSet) -> np.ndarray:
     """Second-run scores: previous predictions plus half the zero-shot row.
 
+    Rows follow ``zeroshot``; ``prev`` is aligned to them by sample id.
     Vectors are deliberately not renormalized — a confident previous run
     (entries near 1) outranks any zero-shot disagreement, while uncertain
     previous rows let the zero-shot scores tip the winner.
@@ -113,57 +61,70 @@ def mix_scores(prev: SoftLabelSet, zeroshot: SoftLabelSet) -> list[ExpansionScor
         raise IdMismatchError(
             f"class counts differ: prev K={prev.n_classes}, zeroshot K={zeroshot.n_classes}"
         )
-    prev_rows = prev.rows_for(zeroshot.sample_ids)
-    mixed = prev_rows + 0.5 * zeroshot.probs
-    return [
-        ExpansionScore.from_vector(sid, mixed[i])
-        for i, sid in enumerate(zeroshot.sample_ids)
-    ]
+    return prev.rows_for(zeroshot.sample_ids) + 0.5 * zeroshot.probs
 
 
 def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
-def _ranked(scores) -> list[ExpansionScore]:
-    return sorted(scores, key=lambda s: (-s.winning_score, s.sample_id))
-
-
 def select_pseudo_source(
-    scores, fraction: float, policy: str = DEFAULT_POLICY
+    scores, sample_ids, fraction: float, policy: str = DEFAULT_POLICY
 ) -> ExpansionSelection:
-    """Keep the top ``fraction`` of samples by winning score.
+    """Keep the top ``fraction`` of rows of the (n, K) ``scores`` matrix.
 
-    ``global`` ranks the whole pool at once; ``class_balanced`` ranks
-    within each predicted class and keeps the fraction per class, so
-    confident majority classes cannot monopolize the expansion.  Ties
-    break by ascending sample id.
+    A row's winning class is its argmax (ties go to the lowest class) and
+    its winning score the max.  ``global`` ranks the whole pool at once;
+    ``class_balanced`` ranks within each winning class and keeps the
+    fraction per class, so confident majority classes cannot monopolize
+    the expansion.  Ties break by ascending sample id.
     """
     fraction = float(fraction)
     if not (0.0 <= fraction <= 1.0):
         raise FractionOutOfRangeError(f"fraction must lie in [0, 1], got {fraction}")
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[0] != len(sample_ids):
+        raise ClassMismatchError(
+            f"scores of shape {scores.shape} do not cover {len(sample_ids)} samples"
+        )
 
-    scores = list(scores)
+    winning_class = scores.argmax(axis=1)
+    winning_score = scores.max(axis=1)
+    ids = np.array(sample_ids, dtype=object)
+    order = np.lexsort((ids, -winning_score))
     if policy == "global":
-        chosen = _ranked(scores)[: _round_half_up(fraction * len(scores))]
+        chosen = order[: _round_half_up(fraction * len(order))]
     else:
-        by_class: dict[int, list[ExpansionScore]] = {}
-        for score in scores:
-            by_class.setdefault(score.winning_class, []).append(score)
-        chosen = []
-        for cls in sorted(by_class):
-            members = _ranked(by_class[cls])
-            chosen.extend(members[: _round_half_up(fraction * len(members))])
-        chosen = _ranked(chosen)
+        ranked_class = winning_class[order]
+        keep = np.zeros(len(order), dtype=bool)
+        for cls in range(scores.shape[1]):
+            members = np.flatnonzero(ranked_class == cls)
+            keep[members[: _round_half_up(fraction * len(members))]] = True
+        chosen = order[keep]
     return ExpansionSelection(
-        entries=tuple(
-            SelectionEntry(s.sample_id, s.winning_class, s.winning_score) for s in chosen
-        ),
+        rows=chosen,
+        pseudo_labels=winning_class[chosen],
+        winning_scores=winning_score[chosen],
+        sample_ids=tuple(ids[chosen]),
         fraction=fraction,
         policy=policy,
     )
+
+
+def check_pair(source: DomainDataset, target: DomainDataset):
+    """Raise ClassMismatchError unless both datasets have the same class
+    count and feature width."""
+    if source.n_classes != target.n_classes:
+        raise ClassMismatchError(
+            f"class counts differ: source {source.n_classes}, target {target.n_classes}"
+        )
+    if source.feature_dim != target.feature_dim:
+        raise ClassMismatchError(
+            f"feature widths differ: source {source.feature_dim}, "
+            f"target {target.feature_dim}"
+        )
 
 
 def expand_dataset(
@@ -175,30 +136,29 @@ def expand_dataset(
     carry role ``pseudo_source``, and take the selection's pseudo-label as
     their label.  Downstream training treats them exactly like source data.
     """
-    if source.feature_dim != target.feature_dim:
-        raise ClassMismatchError(
-            f"feature widths differ: source {source.feature_dim}, "
-            f"target {target.feature_dim}"
-        )
-    if source.n_classes != target.n_classes:
-        raise ClassMismatchError(
-            f"class counts differ: source {source.n_classes}, target {target.n_classes}"
-        )
-    if not selection.entries:
+    check_pair(source, target)
+    if not len(selection):
         return source
 
-    row_of = {sid: i for i, sid in enumerate(target.sample_ids)}
-    try:
-        indices = [row_of[entry.sample_id] for entry in selection.entries]
-    except KeyError as exc:
-        raise UnknownSampleIdError(f"no target sample with id {exc.args[0]!r}") from None
-    ids = source.sample_ids + tuple(entry.sample_id for entry in selection.entries)
-    roles = source.roles + ("pseudo_source",) * len(selection)
-    labels = np.concatenate(
-        [source.labels, np.array([e.pseudo_label for e in selection.entries], dtype=np.int64)]
-    )
-    features = np.concatenate([source.features, target.features[indices]], axis=0)
-    zeroshot = np.concatenate([source.zeroshot, target.zeroshot[indices]], axis=0)
+    rows = np.asarray(selection.rows, dtype=np.int64)
+    if rows.min() < 0 or rows.max() >= len(target):
+        raise UnknownSampleIdError(
+            f"selected rows {rows.min()}..{rows.max()} fall outside the "
+            f"{len(target)} target rows"
+        )
+    if len(selection.sample_ids) != len(rows):
+        raise UnknownSampleIdError(
+            f"{len(selection.sample_ids)} selected ids for {len(rows)} rows"
+        )
+    for sid, row in zip(selection.sample_ids, rows.tolist()):
+        if target.sample_ids[row] != sid:
+            raise UnknownSampleIdError(
+                f"selected id {sid!r} is not the target sample at row {row}"
+            )
     return DomainDataset(
-        sample_ids=ids, roles=roles, labels=labels, features=features, zeroshot=zeroshot
+        sample_ids=source.sample_ids + selection.sample_ids,
+        roles=source.roles + ("pseudo_source",) * len(rows),
+        labels=np.concatenate([source.labels, selection.pseudo_labels]),
+        features=np.concatenate([source.features, target.features[rows]], axis=0),
+        zeroshot=np.concatenate([source.zeroshot, target.zeroshot[rows]], axis=0),
     )

@@ -330,15 +330,16 @@ def lift(tape: ad.Tape, params: ModelParams, grad: np.ndarray | None = None) -> 
 def _domain_masks(domain_tags) -> dict[str, np.ndarray | None]:
     """(n, 1) 0/1 column per domain present, in fixed NORM_DOMAINS order;
     None when a single domain covers every row."""
-    tags = list(domain_tags)
-    for tag in tags:
-        if tag not in NORM_DOMAINS:
-            raise UnknownDomainTagError(f"unknown domain tag {tag!r}")
-    masks = {}
-    for domain in NORM_DOMAINS:
-        column = np.array([[1.0] if tag == domain else [0.0] for tag in tags])
-        if column.sum() > 0:
-            masks[domain] = column
+    tags = np.fromiter(domain_tags, dtype=object)
+    hits = {domain: tags == domain for domain in NORM_DOMAINS}
+    known = np.any(list(hits.values()), axis=0)
+    if not known.all():
+        raise UnknownDomainTagError(f"unknown domain tag {tags[known.argmin()]!r}")
+    masks = {
+        domain: hit.astype(np.float64).reshape(-1, 1)
+        for domain, hit in hits.items()
+        if hit.any()
+    }
     if len(masks) == 1:
         return dict.fromkeys(masks)
     return masks
@@ -405,24 +406,3 @@ def forward(params: ModelParams, x, domain_tags):
     features, _, probs = forward_on_tape(tape, nodes, params, x_node, domain_tags)
     return features.value.copy(), probs.value.copy()
 
-
-def predict_logits(params: ModelParams, x, domain_tags) -> np.ndarray:
-    """Eager classifier logits (used for temperature-1 prediction files)."""
-    tape = ad.Tape()
-    nodes = lift(tape, params)
-    x_node = tape.leaf(x)
-    _, logits, _ = forward_on_tape(tape, nodes, params, x_node, domain_tags)
-    return logits.value.copy()
-
-
-def discriminate(params: ModelParams, joint, lam: float = 1.0) -> np.ndarray:
-    """Eager discriminator output for a joint (f ⊗ p) batch."""
-    tape = ad.Tape()
-    nodes = lift(tape, params)
-    joint_node = tape.leaf(joint)
-    expected = params.feature_dim * params.n_classes
-    if joint_node.value.shape[1] != expected:
-        raise ShapeMismatchError(
-            f"joint width {joint_node.value.shape[1]}, discriminator expects {expected}"
-        )
-    return discriminate_on_tape(tape, nodes, joint_node, lam).value.copy()

@@ -31,9 +31,9 @@ from .data import DomainDataset, EpisodeMetrics, logit_matrix, rng_for
 from .errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
 from .expansion import (
     POLICIES,
+    check_pair,
     expand_dataset,
     mix_scores,
-    score_from_soft_labels,
     select_pseudo_source,
 )
 from .losses import (
@@ -261,9 +261,10 @@ def predict_target(params: ModelParams, target: DomainDataset) -> np.ndarray:
 
 def build_teachers(
     config: TrainConfig, source: DomainDataset, target: DomainDataset
-) -> tuple[float, SoftLabelSet, SoftLabelSet, SoftLabelSet]:
+) -> tuple[float, SoftLabelSet, SoftLabelSet]:
     """Calibrate (unless tau is None) and sharpen both domains' zero-shot
-    scores; returns (T, source teacher, target teacher, combined teacher)."""
+    scores; returns (T, source teacher, target teacher), each teacher
+    row-aligned with its dataset."""
     source_lm = logit_matrix(source)
     target_lm = logit_matrix(target)
     if config.tau is None:
@@ -272,12 +273,7 @@ def build_teachers(
         temperature = solve_temperature(source_lm, target_lm, config.tau).temperature
     teacher_source = sharpen(source_lm, temperature)
     teacher_target = sharpen(target_lm, temperature)
-    combined = SoftLabelSet(
-        probs=np.concatenate([teacher_source.probs, teacher_target.probs], axis=0),
-        sample_ids=teacher_source.sample_ids + teacher_target.sample_ids,
-        temperature_used=temperature,
-    )
-    return temperature, teacher_source, teacher_target, combined
+    return temperature, teacher_source, teacher_target
 
 
 def _single_run(
@@ -292,8 +288,10 @@ def _single_run(
 ) -> RunResult:
     """One calibrate → expand → adapt → train cycle; the heart of every scheme.
 
-    ``teachers`` is the result of :func:`build_teachers` for these inputs,
-    when the caller already has it.
+    ``scores_override`` is an (n_target, K) score matrix row-aligned with
+    ``target`` (default: the target teacher).  ``teachers`` is the result
+    of :func:`build_teachers` for these inputs, when the caller already has
+    it.
     """
     if fraction is None:
         fraction = config.expansion_fraction
@@ -301,11 +299,11 @@ def _single_run(
 
     if teachers is None:
         teachers = build_teachers(config, source, target)
-    temperature, _, teacher_target, teacher_all = teachers
-    scores = scores_override
-    if scores is None:
-        scores = score_from_soft_labels(teacher_target)
-    selection = select_pseudo_source(scores, fraction, config.selection_policy)
+    temperature, teacher_source, teacher_target = teachers
+    scores = teacher_target.probs if scores_override is None else scores_override
+    selection = select_pseudo_source(
+        scores, target.sample_ids, fraction, config.selection_policy
+    )
     expanded = expand_dataset(source, target_train, selection)
 
     init_rng = rng_for(config.seed, "init", run_tag)
@@ -328,16 +326,16 @@ def _single_run(
     )
     optimizer = Adam(flat, learning_rates)
 
-    # Row-aligned with ``expanded`` and ``target_train``, so each batch gathers
-    # its teacher rows and domain labels with the indices that gather features.
-    teacher_src = teacher_all.rows_for(expanded.sample_ids)
+    # Row-aligned with ``expanded`` (the source rows, then the selected
+    # target rows) and ``target_train``, so each batch gathers its teacher
+    # rows and domain labels with the indices that gather features.
+    teacher_src = np.concatenate(
+        [teacher_source.probs, teacher_target.probs[selection.rows]], axis=0
+    )
     teacher_tgt = teacher_target.probs
-    src_adversarial = np.array(
-        [
-            role == "source" or config.pseudo_source_adversarial_domain == "source"
-            for role in expanded.roles
-        ],
-        dtype=np.float64,
+    pseudo_domain = float(config.pseudo_source_adversarial_domain == "source")
+    src_adversarial = np.concatenate(
+        [np.ones(len(source)), np.full(len(selection), pseudo_domain)]
     )
 
     src_half = math.ceil(config.batch_size / 2)
@@ -475,7 +473,7 @@ def _zeroshot_only(config, source, target) -> RunResult:
 def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> RunResult:
     """Two-run scheme: run-1 predictions are mixed into run-2 scores."""
     teachers = build_teachers(config, source, target)
-    _, _, teacher_target, _ = teachers
+    _, _, teacher_target = teachers
     run1 = _single_run(
         config,
         source,
@@ -507,6 +505,7 @@ def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) ->
 def run(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> RunResult:
     """Dispatch on the scheme; see the module docstring for the catalogue."""
     config.validate(n_classes=source.n_classes)
+    check_pair(source, target)
     if config.scheme == "v1":
         return _single_run(config, source, target)
     if config.scheme == "v2":

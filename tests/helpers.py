@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -198,6 +199,17 @@ def grid_scan_temperature(source_logits, target_logits, tau: float,
 # ---------------------------------------------------------------------------
 # Brute-force selection oracles
 # ---------------------------------------------------------------------------
+
+
+ScoreRecord = namedtuple("ScoreRecord", "sample_id winning_class winning_score")
+
+
+def score_records(sample_ids, scores) -> list[ScoreRecord]:
+    """One oracle input per score row: its id, argmax class and max score."""
+    return [
+        ScoreRecord(sid, int(np.argmax(row)), float(np.max(row)))
+        for sid, row in zip(sample_ids, np.asarray(scores, dtype=np.float64))
+    ]
 
 
 def _subset_key(scores_by_id, subset):

@@ -21,11 +21,7 @@ from swguide.calibration import LogitMatrix, sharpen, solve_temperature
 from swguide.cli import main, write_run_artifacts
 from swguide.data import SyntheticSpec, make_benchmark, rng_for
 from swguide.errors import InfeasibleError
-from swguide.expansion import (
-    ExpansionScore,
-    mix_scores,
-    select_pseudo_source,
-)
+from swguide.expansion import mix_scores, select_pseudo_source
 from swguide.calibration import SoftLabelSet
 from swguide.model import NormLayerState, forward
 from swguide.norm_adapt import adapt_model, adjust_params
@@ -38,6 +34,7 @@ from helpers import (
     mirror_cdan_run,
     model_loss_grads,
     rel_error,
+    score_records,
     tiny_batch,
     tiny_model,
 )
@@ -239,30 +236,27 @@ def test_criterion_4_selection_matches_brute_force(capsys):
                 vectors = rng.integers(0, 4, size=(n_t, k)) / 4.0
             else:
                 vectors = rng.random((n_t, k))
-            scores = [
-                ExpansionScore.from_vector(f"t{i:02d}", vectors[i]) for i in range(n_t)
-            ]
+            ids = tuple(f"t{i:02d}" for i in range(n_t))
+            scores = score_records(ids, vectors)
             fraction = (
                 float(fractions[int(rng.integers(0, len(fractions)))])
                 if trial % 2
                 else float(rng.random())
             )
-            chosen = select_pseudo_source(scores, fraction, "global")
+            chosen = select_pseudo_source(vectors, ids, fraction, "global")
             assert set(chosen.sample_ids) == brute_force_global(scores, fraction)
-            balanced = select_pseudo_source(scores, fraction, "class_balanced")
+            balanced = select_pseudo_source(vectors, ids, fraction, "class_balanced")
             assert set(balanced.sample_ids) == brute_force_class_balanced(
                 scores, fraction
             )
             instances += 1
 
     mixed = mix_scores(_soft([[0.0, 0.0, 1.0]]), _soft([[0.0, 0.0, 1.0]]))
-    fix1 = np.allclose(mixed[0].score_vector, [0.0, 0.0, 1.5]) and (
-        mixed[0].winning_class == 2
-    )
+    fix1 = np.allclose(mixed[0], [0.0, 0.0, 1.5]) and mixed[0].argmax() == 2
     mixed = mix_scores(_soft([[0.6, 0.4]]), _soft([[0.2, 0.8]]))
-    fix2 = np.allclose(mixed[0].score_vector, [0.7, 0.8]) and mixed[0].winning_class == 1
+    fix2 = np.allclose(mixed[0], [0.7, 0.8]) and mixed[0].argmax() == 1
     mixed = mix_scores(_soft([[1.0, 0.0]]), _soft([[0.0, 1.0]]))
-    fix3 = np.allclose(mixed[0].score_vector, [1.0, 0.5]) and mixed[0].winning_class == 0
+    fix3 = np.allclose(mixed[0], [1.0, 0.5]) and mixed[0].argmax() == 0
 
     ok = fix1 and fix2 and fix3
     _verdict(

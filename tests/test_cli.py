@@ -367,6 +367,42 @@ def test_train_missing_dataset_file_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def wide_sources(tmp_path_factory):
+    """Ten-feature sources with three and with five classes, to pair with bench."""
+    root = tmp_path_factory.mktemp("wide")
+    paths = {}
+    for classes in ("3", "5"):
+        source, target = str(root / f"s{classes}.txt"), str(root / f"t{classes}.txt")
+        code = main(["gen", "--out-source", source, "--out-target", target,
+                     "--classes", classes, "--feature-dim", "10", "--per-class", "4"])
+        assert code == 0
+        paths[classes] = source, target
+    return paths
+
+
+@pytest.mark.parametrize(
+    "scheme, extra",
+    [("v1", ()), ("v1", ("--tau", "none")), ("v2", ()), ("weak_only", ()),
+     ("cdan_only", ()), ("zeroshot_only", ())],
+    ids=["v1", "v1-tau-none", "v2", "weak_only", "cdan_only", "zeroshot_only"],
+)
+@pytest.mark.parametrize("mismatch", ["classes", "features"])
+def test_a_pair_of_different_shapes_exits_2_under_every_scheme(
+    bench, wide_sources, capsys, scheme, extra, mismatch
+):
+    if mismatch == "classes":
+        source, target = wide_sources["5"][0], wide_sources["3"][1]
+        cause = "class counts differ: source 5, target 3"
+    else:
+        source, target = wide_sources["3"][0], bench[1]
+        cause = "feature widths differ: source 10, target 6"
+    code = main(_train_args(source, target, "--scheme", scheme, *extra))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and cause in err
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -413,3 +449,34 @@ def test_sweep_tau_handles_the_uncalibrated_setting(bench, tmp_path, capsys):
     assert (out_dir / "tau_none" / "seed_0" / "predictions.txt").exists()
     assert (out_dir / "tau_0.9" / "seed_0" / "predictions.txt").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, extra, flag",
+    [
+        ("sweep-expansion", ("--fractions", ""), "--fractions"),
+        ("sweep-expansion", ("--fractions", "0.5", "--seeds", ","), "--seeds"),
+        ("sweep-tau", ("--taus", ","), "--taus"),
+    ],
+    ids=["fractions", "seeds", "taus"],
+)
+def test_empty_sweep_lists_exit_2_naming_the_flag(bench, capsys, command, extra, flag):
+    source, target = bench
+    code = main([command, "--source", source, "--target", target,
+                 "--episodes", "1", "--batch-size", "8", *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command, values", [("sweep-expansion", "--fractions"), ("sweep-tau", "--taus")]
+)
+def test_sweep_jobs_below_one_exit_2(bench, capsys, command, values, jobs):
+    source, target = bench
+    code = main([command, "--source", source, "--target", target, values, "0.9",
+                 "--jobs", jobs, "--episodes", "1", "--batch-size", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err

@@ -14,17 +14,15 @@ from swguide.errors import (
 from swguide.model import (
     ModelParams,
     NormLayerState,
-    discriminate,
     forward,
     init_params,
     lift,
     pack_trainable,
     params_from_named,
-    predict_logits,
 )
 from swguide import autodiff as ad
 from swguide.losses import adversarial_loss_node
-from swguide.model import discriminate_on_tape, forward_on_tape
+from swguide.model import NORM_DOMAINS, _domain_masks, discriminate_on_tape, forward_on_tape
 
 from helpers import (
     fd_reference_grads,
@@ -203,6 +201,17 @@ def _reference_forward(params, x, tags):
     return h, logits, exp / exp.sum(axis=1, keepdims=True)
 
 
+def _logits_on_tape(params, x, tags):
+    tape = ad.Tape()
+    _, logits, _ = forward_on_tape(tape, lift(tape, params), params, tape.leaf(x), tags)
+    return logits.value
+
+
+def _discriminate_on_tape(params, joint, lam):
+    tape = ad.Tape()
+    return discriminate_on_tape(tape, lift(tape, params), tape.leaf(joint), lam).value
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_forward_matches_independent_reference(seed):
     params = tiny_model(seed)
@@ -216,7 +225,7 @@ def test_forward_matches_independent_reference(seed):
     np.testing.assert_allclose(features, ref_f, rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs, ref_p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        predict_logits(params, x, tags), ref_logits, rtol=0, atol=1e-12
+        _logits_on_tape(params, x, tags), ref_logits, rtol=0, atol=1e-12
     )
 
 
@@ -292,6 +301,26 @@ def test_forward_validates_tags():
         forward(params, x, ["source", "target", "elsewhere"])
 
 
+@pytest.mark.parametrize(
+    "tags",
+    [["source", "target", "target", "source"], ["target"] * 3, ["source"], []],
+    ids=["mixed", "target-only", "source-only", "empty"],
+)
+def test_domain_masks_match_a_per_tag_loop(tags):
+    masks = _domain_masks(tags)
+    present = [domain for domain in NORM_DOMAINS if domain in tags]
+    assert list(masks) == present
+    for domain, mask in masks.items():
+        if len(present) == 1:
+            assert mask is None
+            continue
+        expected = np.array([[1.0] if tag == domain else [0.0] for tag in tags])
+        assert mask.dtype == np.float64 and mask.shape == (len(tags), 1)
+        assert mask.tobytes() == expected.tobytes()
+    with pytest.raises(UnknownDomainTagError, match="'elsewhere'"):
+        _domain_masks([*tags, "elsewhere", "nowhere"])
+
+
 def test_collect_prenorm_returns_layer_inputs():
     params = tiny_model(7)
     x = rng_for(7, "prenorm").standard_normal((4, 4))
@@ -311,7 +340,7 @@ def test_probs_are_softmax_of_logits():
     params = tiny_model(8)
     x = rng_for(8, "probs").standard_normal((5, 4))
     _, probs = forward(params, x, ["target"] * 5)
-    logits = predict_logits(params, x, ["target"] * 5)
+    logits = _logits_on_tape(params, x, ["target"] * 5)
     np.testing.assert_array_equal(probs, stable_softmax(logits, 1.0))
 
 
@@ -324,12 +353,12 @@ def test_discriminate_outputs_probabilities_and_ignores_lambda_forward():
     params = tiny_model(9)
     rng = rng_for(9, "disc")
     joint = rng.standard_normal((6, params.feature_dim * params.n_classes))
-    out = discriminate(params, joint, lam=1.0)
+    out = _discriminate_on_tape(params, joint, lam=1.0)
     assert out.shape == (6, 1)
     assert ((out > 0) & (out < 1)).all()
-    np.testing.assert_array_equal(discriminate(params, joint, lam=0.25), out)
+    np.testing.assert_array_equal(_discriminate_on_tape(params, joint, lam=0.25), out)
     with pytest.raises(ShapeMismatchError):
-        discriminate(params, joint[:, :-1])
+        _discriminate_on_tape(params, joint[:, :-1], lam=1.0)
 
 
 # ---------------------------------------------------------------------------

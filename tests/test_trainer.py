@@ -237,20 +237,21 @@ def test_evaluate_does_not_mutate_params():
 
 def test_build_teachers_calibrates_to_tau():
     source, target = small_benchmark()
-    temperature, t_src, t_tgt, t_all = build_teachers(
-        small_config(tau=0.8), source, target
-    )
+    temperature, t_src, t_tgt = build_teachers(small_config(tau=0.8), source, target)
     achieved = mean_winning_probability(
         logit_matrix(source), logit_matrix(target), temperature
     )
     assert abs(achieved - 0.8) <= 1e-6
-    assert t_all.sample_ids == t_src.sample_ids + t_tgt.sample_ids
-    np.testing.assert_array_equal(t_all.probs[: len(source)], t_src.probs)
+    # Each teacher is row-aligned with its dataset; the trainer gathers by row.
+    assert t_src.sample_ids == source.sample_ids
+    assert t_tgt.sample_ids == target.sample_ids
+    np.testing.assert_array_equal(t_src.probs.argmax(axis=1), source.zeroshot.argmax(axis=1))
+    np.testing.assert_array_equal(t_tgt.probs.argmax(axis=1), target.zeroshot.argmax(axis=1))
 
 
 def test_build_teachers_uncalibrated_mode_uses_unit_temperature():
     source, target = small_benchmark()
-    temperature, _, t_tgt, _ = build_teachers(small_config(tau=None), source, target)
+    temperature, _, t_tgt = build_teachers(small_config(tau=None), source, target)
     assert temperature == 1.0
     np.testing.assert_array_equal(t_tgt.probs, stable_softmax(target.zeroshot, 1.0))
 

@@ -33,7 +33,6 @@ from .expansion import (
     mix_scores,
     select_pseudo_source,
 )
-from .losses import adversarial_loss, classification_loss, kd_loss
 from .model import ModelParams, NormLayerState, forward, init_params
 from .norm_adapt import adapt_model, adjust_params, estimate_stats
 from .trainer import RunResult, TrainConfig, evaluate, run, run_v2
@@ -61,9 +60,6 @@ __all__ = [
     "expand_dataset",
     "mix_scores",
     "select_pseudo_source",
-    "adversarial_loss",
-    "classification_loss",
-    "kd_loss",
     "ModelParams",
     "NormLayerState",
     "forward",

@@ -251,24 +251,6 @@ def log_rows(a: Node, floor: float = PROB_FLOOR) -> Node:
     return a.tape._record(np.log(clipped), "log_rows", (a,), aux=float(floor))
 
 
-def concat_rows(a: Node, b: Node) -> Node:
-    tape = _check_same_tape(a, b)
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ShapeMismatchError(
-            f"concat_rows widths differ: {a.value.shape[1]} vs {b.value.shape[1]}"
-        )
-    return tape._record(np.concatenate([a.value, b.value], axis=0), "concat_rows", (a, b))
-
-
-def slice_rows(a: Node, start: int, stop: int) -> Node:
-    n = a.value.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeMismatchError(f"slice_rows [{start}:{stop}] out of range for {n} rows")
-    return a.tape._record(
-        a.value[start:stop].copy(), "slice_rows", (a,), aux=(start, stop)
-    )
-
-
 def outer_rows(f: Node, p: Node) -> Node:
     """Row-wise outer product: ``out[i] = flatten(f[i] (x) p[i])``.
 
@@ -405,19 +387,6 @@ def _back_log_rows(node):
     a.grad += np.where(a.value > floor, node.grad / np.maximum(a.value, floor), 0.0)
 
 
-def _back_concat_rows(node):
-    a, b = node.parents
-    na = a.value.shape[0]
-    a.grad += node.grad[:na]
-    b.grad += node.grad[na:]
-
-
-def _back_slice_rows(node):
-    (a,) = node.parents
-    start, stop = node.aux
-    a.grad[start:stop] += node.grad
-
-
 def _back_outer_rows(node):
     f, p = node.parents
     n = f.value.shape[0]
@@ -457,8 +426,6 @@ _BACKWARD = {
     "weighted_sum": _back_weighted_sum,
     "softmax_rows": _back_softmax_rows,
     "log_rows": _back_log_rows,
-    "concat_rows": _back_concat_rows,
-    "slice_rows": _back_slice_rows,
     "outer_rows": _back_outer_rows,
     "domain_affine": _back_domain_affine,
     "gradient_reverse": _back_gradient_reverse,

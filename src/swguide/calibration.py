@@ -9,7 +9,7 @@ used for distillation downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import (
     InfeasibleError,
     NonFiniteError,
     NotBracketedError,
-    UnknownDomainTagError,
     UnknownSampleIdError,
 )
 
@@ -30,22 +29,18 @@ MEAN_TOLERANCE = 1e-6
 BRACKET_RELATIVE_WIDTH = 1e-9
 MAX_ITERATIONS = 200
 
-_DOMAIN_TAGS = ("source", "target")
-
 
 @dataclass(frozen=True)
 class LogitMatrix:
-    """Raw per-sample class scores with ids and per-sample domain tags."""
+    """Raw per-sample class scores with their sample ids."""
 
     logits: np.ndarray
     sample_ids: tuple[str, ...]
-    domains: tuple[str, ...]
 
     def __post_init__(self):
         logits = np.ascontiguousarray(np.asarray(self.logits, dtype=np.float64))
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        object.__setattr__(self, "domains", tuple(self.domains))
         if logits.ndim != 2 or logits.shape[1] < 2:
             raise ClassMismatchError(
                 f"logits must be n x K with K >= 2, got shape {logits.shape}"
@@ -53,16 +48,10 @@ class LogitMatrix:
         if not np.isfinite(logits).all():
             raise NonFiniteError("logit matrix contains non-finite entries")
         n = logits.shape[0]
-        if len(self.sample_ids) != n or len(self.domains) != n:
-            raise ClassMismatchError(
-                f"ids/domains length must match {n} rows, got "
-                f"{len(self.sample_ids)}/{len(self.domains)}"
-            )
+        if len(self.sample_ids) != n:
+            raise ClassMismatchError(f"got {len(self.sample_ids)} ids for {n} rows")
         if len(set(self.sample_ids)) != n:
             raise ClassMismatchError("sample ids must be unique")
-        for tag in self.domains:
-            if tag not in _DOMAIN_TAGS:
-                raise UnknownDomainTagError(f"unknown domain tag {tag!r}")
 
     @property
     def n_classes(self) -> int:
@@ -79,7 +68,6 @@ class SoftLabelSet:
     probs: np.ndarray
     sample_ids: tuple[str, ...]
     temperature_used: float
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
@@ -107,9 +95,6 @@ class SoftLabelSet:
             )
         if float(self.temperature_used) <= 0.0:
             raise ValueError("temperature_used must be positive")
-        object.__setattr__(
-            self, "_index", {sid: i for i, sid in enumerate(self.sample_ids)}
-        )
 
     @property
     def n_classes(self) -> int:
@@ -120,13 +105,11 @@ class SoftLabelSet:
 
     def rows_for(self, ids) -> np.ndarray:
         """Probability rows for ``ids``, in the requested order."""
-        rows = np.empty((len(ids), self.probs.shape[1]), dtype=np.float64)
-        for i, sid in enumerate(ids):
-            idx = self._index.get(sid)
-            if idx is None:
+        index = {sid: i for i, sid in enumerate(self.sample_ids)}
+        for sid in ids:
+            if sid not in index:
                 raise UnknownSampleIdError(f"no soft label for sample id {sid!r}")
-            rows[i] = self.probs[idx]
-        return rows
+        return self.probs[[index[sid] for sid in ids]]
 
 
 @dataclass(frozen=True)
@@ -210,9 +193,6 @@ def solve_temperature(
         if hi > 1e12:
             raise NotBracketedError(f"no temperature below 1e12 reaches tau={tau}")
 
-    mid = 0.5 * (lo + hi)
-    achieved = mean_winning_probability(source, target, mid)
-    iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         mid = 0.5 * (lo + hi)
         achieved = mean_winning_probability(source, target, mid)

@@ -17,10 +17,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .calibration import solve_temperature
+from .calibration import LogitMatrix, solve_temperature
 from .data import (
     SyntheticSpec,
-    logit_matrix,
+    _read_lines,
     make_benchmark,
     read_array_file,
     read_dataset,
@@ -53,17 +53,16 @@ def _parse_config_value(name: str, raw: str):
 
 def read_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, raw = line.partition("=")
-            if not sep:
-                raise ConfigInvalidError(
-                    f"{path}: line {line_number} is not key=value: {line!r}"
-                )
-            values[key.strip()] = _parse_config_value(key.strip(), raw.strip())
+    for line_number, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, raw = line.partition("=")
+        if not sep:
+            raise ConfigInvalidError(
+                f"{path}: line {line_number} is not key=value: {line!r}"
+            )
+        values[key.strip()] = _parse_config_value(key.strip(), raw.strip())
     return values
 
 
@@ -183,7 +182,11 @@ def _cmd_calibrate(args) -> int:
         raise ConfigInvalidError(f"--tau must lie in (0, 1), got {args.tau}")
     source = read_dataset(args.source)
     target = read_dataset(args.target)
-    result = solve_temperature(logit_matrix(source), logit_matrix(target), args.tau)
+    result = solve_temperature(
+        LogitMatrix(source.zeroshot, source.sample_ids),
+        LogitMatrix(target.zeroshot, target.sample_ids),
+        args.tau,
+    )
     print(f"T={result.temperature:.6f}")
     print(f"achieved_mean={result.achieved_mean:.6f}")
     print(f"iterations={result.iterations}")
@@ -367,10 +370,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GuidanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GuidanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

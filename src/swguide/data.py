@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import LogitMatrix
 from .errors import (
     ClassMismatchError,
     ConfigInvalidError,
@@ -91,9 +91,12 @@ class DomainDataset:
             raise ClassMismatchError("sample ids must be unique")
         if len(self.roles) != n:
             raise ClassMismatchError(f"{len(self.roles)} roles for {n} samples")
-        for role in self.roles:
-            if role not in ROLES:
-                raise UnknownDomainTagError(f"unknown sample role {role!r}")
+        roles = np.fromiter(self.roles, dtype=object, count=n)
+        known = np.any([roles == role for role in ROLES], axis=0)
+        if not known.all():
+            raise UnknownDomainTagError(
+                f"unknown sample role {roles[known.argmin()]!r}"
+            )
         if self.labels.shape != (n,):
             raise ClassMismatchError(f"labels shape {self.labels.shape}, expected ({n},)")
         if self.features.ndim != 2 or self.features.shape[0] != n:
@@ -108,11 +111,12 @@ class DomainDataset:
             raise NonFiniteError("features contain non-finite entries")
         if not np.isfinite(self.zeroshot).all():
             raise NonFiniteError("zero-shot scores contain non-finite entries")
-        for i, role in enumerate(self.roles):
-            if role != "target" and self.labels[i] == LABEL_ABSENT:
-                raise ClassMismatchError(
-                    f"sample {self.sample_ids[i]!r} has role {role!r} but no label"
-                )
+        unlabelled = (roles != "target") & (self.labels == LABEL_ABSENT)
+        if unlabelled.any():
+            i = int(unlabelled.argmax())
+            raise ClassMismatchError(
+                f"sample {self.sample_ids[i]!r} has role {roles[i]!r} but no label"
+            )
 
     def __len__(self) -> int:
         return len(self.sample_ids)
@@ -127,29 +131,8 @@ class DomainDataset:
 
     def without_labels(self) -> "DomainDataset":
         """Copy with every target-role label erased (the training view)."""
-        labels = self.labels.copy()
-        for i, role in enumerate(self.roles):
-            if role == "target":
-                labels[i] = LABEL_ABSENT
-        return replace(self, labels=labels)
-
-
-def logit_matrix(dataset: DomainDataset, domain: str | None = None) -> LogitMatrix:
-    """View the dataset's zero-shot scores as a calibration input.
-
-    ``domain`` overrides every per-sample tag; otherwise tags come from
-    the sample roles, with pseudo-source counted as source.
-    """
-    if domain is not None:
-        tags = (domain,) * len(dataset)
-    else:
-        tags = tuple(
-            "source" if role in ("source", "pseudo_source") else "target"
-            for role in dataset.roles
-        )
-    return LogitMatrix(
-        logits=dataset.zeroshot, sample_ids=dataset.sample_ids, domains=tags
-    )
+        is_target = np.fromiter(self.roles, dtype=object, count=len(self)) == "target"
+        return replace(self, labels=np.where(is_target, LABEL_ABSENT, self.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +165,13 @@ class SyntheticSpec:
         object.__setattr__(
             self, "shift", np.ascontiguousarray(np.asarray(self.shift, dtype=np.float64))
         )
-        object.__setattr__(self, "per_class", tuple(int(c) for c in self.per_class))
+        try:
+            per_class = tuple(operator.index(c) for c in self.per_class)
+        except TypeError:
+            raise InvalidSpecError(
+                f"per_class must be a sequence of integers, got {self.per_class!r}"
+            ) from None
+        object.__setattr__(self, "per_class", per_class)
         self.validate()
 
     def validate(self):
@@ -396,6 +385,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; ParseError naming the file if it is not."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}", path) from None
+
+
 def write_dataset(path, dataset: DomainDataset):
     d_x, k = dataset.feature_dim, dataset.n_classes
     lines = [f"id,domain,label,f:{d_x},z:{k}"]
@@ -421,8 +419,7 @@ def _parse_header_width(token: str, prefix: str, path, line_number: int) -> int:
 
 
 def read_dataset(path) -> DomainDataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("empty dataset file", path, 1)
     header = lines[0].split(",")
@@ -450,6 +447,10 @@ def read_dataset(path) -> DomainDataset:
             zeroshot.append([float(v) for v in fields[3 + d_x :]])
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {exc}", path, line_number) from None
+        if not -(2**63) <= labels[-1] < 2**63:
+            raise ParseError(
+                f"label {fields[2]!r} does not fit in int64", path, line_number
+            )
     if not ids:
         raise ParseError("dataset file has a header but no rows", path, 1)
     return DomainDataset(
@@ -480,8 +481,7 @@ def read_predictions(path) -> tuple[tuple[str, ...], np.ndarray]:
     Rows already within 1e-12 of unit mass are kept bit-exact;
     anything looser (but within tolerance) is renormalized.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("empty predictions file", path, 1)
     header = lines[0].split(",")
@@ -540,8 +540,7 @@ def write_metrics(path, records):
 
 
 def read_metrics(path) -> list[EpisodeMetrics]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     records = []
     for line_number, line in enumerate(lines, start=1):
         if not line:
@@ -587,8 +586,7 @@ def write_array_file(path, named_arrays: dict[str, np.ndarray]):
 
 
 def read_array_file(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != ARRAY_FILE_MAGIC:
         raise ParseError(f"missing magic line {ARRAY_FILE_MAGIC!r}", path, 1)
     named: dict[str, np.ndarray] = {}
@@ -609,6 +607,8 @@ def read_array_file(path) -> dict[str, np.ndarray]:
             n_rows, n_cols = int(parts[2]), int(parts[3])
         except ValueError:
             raise ParseError(f"bad array dims in {header!r}", path, line_number) from None
+        if n_rows < 0 or n_cols < 0:
+            raise ParseError(f"negative array dims in {header!r}", path, line_number)
         rows = []
         for _ in range(n_rows):
             if line_number >= total:
@@ -625,5 +625,10 @@ def read_array_file(path) -> dict[str, np.ndarray]:
                 rows.append([float(v) for v in fields])
             except ValueError as exc:
                 raise ParseError(f"bad array value: {exc}", path, line_number) from None
-        named[name] = np.array(rows, dtype=np.float64).reshape(n_rows, n_cols)
+        try:
+            named[name] = np.array(rows, dtype=np.float64).reshape(n_rows, n_cols)
+        except ValueError:
+            raise ParseError(
+                f"array dims too large in {header!r}", path, line_number
+            ) from None
     return named

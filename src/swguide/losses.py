@@ -1,9 +1,9 @@
 """The three training losses: classification, distillation, adversarial.
 
-Each loss has a tape-node builder (used inside the training step, so
-gradients flow) and a plain eager wrapper returning a float.  The total
-objective is their unweighted sum; the trainer may scale individual terms
-for ablations, with every weight defaulting to 1.
+Each loss is a tape-node builder: it records a 1x1 node on the tape of
+its input, so gradients flow through it inside the training step.  The
+total objective is their unweighted sum; the trainer may scale individual
+terms for ablations, with every weight defaulting to 1.
 """
 
 from __future__ import annotations
@@ -79,25 +79,3 @@ def adversarial_loss_node(d_hat: ad.Node, domain_labels) -> ad.Node:
     term_neg = ad.weighted_sum(ad.log_rows(one_minus, ad.PROB_FLOOR), -(1.0 - labels) / n)
     return ad.add(term_pos, term_neg)
 
-
-# ---------------------------------------------------------------------------
-# Eager wrappers
-# ---------------------------------------------------------------------------
-
-
-def _eager(builder, value, *args) -> float:
-    tape = ad.Tape()
-    node = builder(tape.leaf(value), *args)
-    return float(node.value[0, 0])
-
-
-def classification_loss(probs, labels, mask) -> float:
-    return _eager(classification_loss_node, probs, labels, mask)
-
-
-def kd_loss(teacher_rows, probs) -> float:
-    return _eager(kd_loss_node, probs, teacher_rows)
-
-
-def adversarial_loss(d_hat, domain_labels) -> float:
-    return _eager(adversarial_loss_node, d_hat, domain_labels)

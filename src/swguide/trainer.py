@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .calibration import SoftLabelSet, sharpen, solve_temperature
-from .data import DomainDataset, EpisodeMetrics, logit_matrix, rng_for
+from .calibration import LogitMatrix, SoftLabelSet, sharpen, solve_temperature
+from .data import DomainDataset, EpisodeMetrics, rng_for
 from .errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
 from .expansion import (
     POLICIES,
@@ -265,8 +265,8 @@ def build_teachers(
     """Calibrate (unless tau is None) and sharpen both domains' zero-shot
     scores; returns (T, source teacher, target teacher), each teacher
     row-aligned with its dataset."""
-    source_lm = logit_matrix(source)
-    target_lm = logit_matrix(target)
+    source_lm = LogitMatrix(source.zeroshot, source.sample_ids)
+    target_lm = LogitMatrix(target.zeroshot, target.sample_ids)
     if config.tau is None:
         temperature = 1.0
     else:

@@ -101,9 +101,9 @@ def _np_mean_winning(logits: np.ndarray, temperature: float) -> float:
     return float(p.max(axis=1).mean())
 
 
-def _logit_matrix(rows: np.ndarray, domain: str, prefix: str) -> LogitMatrix:
+def _logit_matrix(rows: np.ndarray, prefix: str) -> LogitMatrix:
     ids = tuple(f"{prefix}{i:04d}" for i in range(rows.shape[0]))
-    return LogitMatrix(logits=rows, sample_ids=ids, domains=(domain,) * rows.shape[0])
+    return LogitMatrix(logits=rows, sample_ids=ids)
 
 
 def test_criterion_2_calibration(capsys):
@@ -112,8 +112,8 @@ def test_criterion_2_calibration(capsys):
     for seed in range(8):
         rng = np.random.default_rng(seed)
         scale = rng.uniform(0.5, 3.0)
-        src = _logit_matrix(rng.normal(size=(100, 10)) * scale, "source", "s")
-        tgt = _logit_matrix(rng.normal(size=(100, 10)) * scale, "target", "t")
+        src = _logit_matrix(rng.normal(size=(100, 10)) * scale, "s")
+        tgt = _logit_matrix(rng.normal(size=(100, 10)) * scale, "t")
         tau = float(rng.uniform(0.2, 0.95))
         result = solve_temperature(src, tgt, tau)
         # Recompute the achieved mean from the raw logits, independently.
@@ -121,13 +121,13 @@ def test_criterion_2_calibration(capsys):
         achieved += 0.5 * _np_mean_winning(tgt.logits, result.temperature)
         worst_gap = max(worst_gap, abs(achieved - tau))
 
-    fixture = _logit_matrix(np.array([[math.log(9.0), 0.0]]), "source", "s")
-    fixture_t = _logit_matrix(np.array([[math.log(9.0), 0.0]]), "target", "t")
+    fixture = _logit_matrix(np.array([[math.log(9.0), 0.0]]), "s")
+    fixture_t = _logit_matrix(np.array([[math.log(9.0), 0.0]]), "t")
     t_fixture = solve_temperature(fixture, fixture_t, 0.9).temperature
     fixture_ok = abs(t_fixture - 1.0) <= 1e-6
 
-    tied = _logit_matrix(np.zeros((5, 4)), "source", "s")
-    tied_t = _logit_matrix(np.zeros((5, 4)), "target", "t")
+    tied = _logit_matrix(np.zeros((5, 4)), "s")
+    tied_t = _logit_matrix(np.zeros((5, 4)), "t")
     try:
         solve_temperature(tied, tied_t, 0.9)
         ties_ok = False
@@ -137,7 +137,7 @@ def test_criterion_2_calibration(capsys):
     argmax_ok = True
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        logits = _logit_matrix(rng.normal(size=(200, 10)), "target", "t")
+        logits = _logit_matrix(rng.normal(size=(200, 10)), "t")
         raw = logits.logits.argmax(axis=1)
         for temperature in np.logspace(-3.0, 3.0, 13):
             soft = sharpen(logits, float(temperature))

@@ -136,15 +136,6 @@ def test_mean_and_weighted_sum_fixtures():
     assert ad.weighted_sum(a, w).value[0, 0] == 1.0 + 8.0
 
 
-def test_concat_slice_roundtrip():
-    rng = rng_for(3, "concat")
-    a, b = rng.standard_normal((2, 4)), rng.standard_normal((3, 4))
-    tape = ad.Tape()
-    joined = ad.concat_rows(tape.leaf(a), tape.leaf(b))
-    np.testing.assert_array_equal(ad.slice_rows(joined, 0, 2).value, a)
-    np.testing.assert_array_equal(ad.slice_rows(joined, 2, 5).value, b)
-
-
 def test_outer_rows_fixture():
     tape = ad.Tape()
     out = ad.outer_rows(tape.leaf([[1.0, 0.0]]), tape.leaf([[0.5, 0.5]]))
@@ -443,13 +434,6 @@ def test_grad_log_rows_above_floor(seed):
     rng = rng_for(seed, "g-log")
     x = np.abs(rng.standard_normal((3, 4))) + 0.5
     _fd_check(ad.log_rows, [x], seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_grad_concat_and_slice(seed):
-    rng = rng_for(seed, "g-concat")
-    a, b = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
-    _fd_check(lambda u, v: ad.slice_rows(ad.concat_rows(u, v), 1, 4), [a, b], seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

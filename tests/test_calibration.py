@@ -22,17 +22,16 @@ from swguide.errors import (
     EmptyDomainError,
     InfeasibleError,
     NonFiniteError,
-    UnknownDomainTagError,
     UnknownSampleIdError,
 )
 
 from helpers import grid_scan_temperature
 
 
-def lm(logits, domain="source", prefix="x"):
+def lm(logits, prefix="x"):
     logits = np.asarray(logits, dtype=np.float64)
     ids = tuple(f"{prefix}{i}" for i in range(logits.shape[0]))
-    return LogitMatrix(logits=logits, sample_ids=ids, domains=(domain,) * len(ids))
+    return LogitMatrix(logits=logits, sample_ids=ids)
 
 
 LN9_ROW = [[np.log(9.0), 0.0]]
@@ -55,12 +54,7 @@ def test_logit_matrix_rejects_nonfinite():
 
 def test_logit_matrix_rejects_duplicate_ids():
     with pytest.raises(ClassMismatchError):
-        LogitMatrix(np.zeros((2, 2)), ("a", "a"), ("source", "source"))
-
-
-def test_logit_matrix_rejects_unknown_domain():
-    with pytest.raises(UnknownDomainTagError):
-        LogitMatrix(np.zeros((1, 2)), ("a",), ("elsewhere",))
+        LogitMatrix(np.zeros((2, 2)), ("a", "a"))
 
 
 def test_soft_label_set_requires_unit_rows():
@@ -88,29 +82,29 @@ def test_soft_label_rows_for_orders_and_validates():
 
 
 def test_mean_winning_probability_hand_fixture():
-    value = mean_winning_probability(lm(LN9_ROW), lm(LN9_ROW, "target", "t"), 1.0)
+    value = mean_winning_probability(lm(LN9_ROW), lm(LN9_ROW, prefix="t"), 1.0)
     assert value == pytest.approx(0.9, abs=1e-12)
 
 
 def test_mean_winning_probability_per_domain_average():
     source = lm([[np.log(4.0), 0.0], [np.log(4.0), 0.0]])
-    target = lm([[np.log(1.5), 0.0]], "target", "t")
+    target = lm([[np.log(1.5), 0.0]], prefix="t")
     assert mean_winning_probability(source, target, 1.0) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_mean_winning_probability_uniform_limit():
     rng = rng_for(0, "uniform-limit")
     source = lm(rng.standard_normal((5, 4)))
-    target = lm(rng.standard_normal((6, 4)), "target", "t")
+    target = lm(rng.standard_normal((6, 4)), prefix="t")
     assert mean_winning_probability(source, target, 1e9) == pytest.approx(0.25, abs=1e-6)
 
 
 def test_mean_winning_probability_errors():
     source = lm([[1.0, 0.0]])
     with pytest.raises(EmptyDomainError):
-        mean_winning_probability(source, lm(np.zeros((0, 2)), "target"), 1.0)
+        mean_winning_probability(source, lm(np.zeros((0, 2))), 1.0)
     with pytest.raises(ClassMismatchError):
-        mean_winning_probability(source, lm([[1.0, 0.0, 0.0]], "target", "t"), 1.0)
+        mean_winning_probability(source, lm([[1.0, 0.0, 0.0]], prefix="t"), 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,7 +112,7 @@ def test_mean_winning_probability_errors():
 def test_mean_winning_probability_monotone_in_temperature(seed, k, n):
     rng = rng_for(seed, "monotone")
     source = lm(rng.standard_normal((n, k)) * 3)
-    target = lm(rng.standard_normal((n, k)) * 3, "target", "t")
+    target = lm(rng.standard_normal((n, k)) * 3, prefix="t")
     temperatures = np.geomspace(0.01, 100.0, 12)
     values = [mean_winning_probability(source, target, t) for t in temperatures]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -132,7 +126,7 @@ def test_mean_winning_probability_monotone_in_temperature(seed, k, n):
 
 
 def test_solver_pins_the_unit_temperature_fixture():
-    result = solve_temperature(lm(LN9_ROW), lm(LN9_ROW, "target", "t"), 0.9)
+    result = solve_temperature(lm(LN9_ROW), lm(LN9_ROW, prefix="t"), 0.9)
     assert result.temperature == pytest.approx(1.0, abs=1e-6)
     assert result.achieved_mean == pytest.approx(0.9, abs=1e-6)
     assert result.iterations <= 200
@@ -141,14 +135,14 @@ def test_solver_pins_the_unit_temperature_fixture():
 def test_solver_ties_raise_infeasible():
     tied = lm([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InfeasibleError):
-        solve_temperature(tied, lm([[0.0, 0.0]], "target", "t"), 0.9)
+        solve_temperature(tied, lm([[0.0, 0.0]], prefix="t"), 0.9)
 
 
 def test_solver_partial_ties_account_for_multiplicity():
     # Source rows tied two ways cap the source mean at 1/2, so the overall
     # ceiling is 1/2 + 1/2 * 1 = 3/4 < 0.9.
     source = lm([[1.0, 1.0, 0.0]])
-    target = lm([[5.0, 0.0, 0.0]], "target", "t")
+    target = lm([[5.0, 0.0, 0.0]], prefix="t")
     with pytest.raises(InfeasibleError):
         solve_temperature(source, target, 0.9)
     result = solve_temperature(source, target, 0.7)
@@ -158,7 +152,7 @@ def test_solver_partial_ties_account_for_multiplicity():
 def test_solver_tau_at_most_one_over_k_is_infeasible():
     rng = rng_for(1, "low-tau")
     source = lm(rng.standard_normal((4, 2)))
-    target = lm(rng.standard_normal((4, 2)), "target", "t")
+    target = lm(rng.standard_normal((4, 2)), prefix="t")
     for tau in (0.2, 0.5):  # the T -> infinity limit is 1/K = 0.5
         with pytest.raises(InfeasibleError, match="1/K"):
             solve_temperature(source, target, tau)
@@ -166,7 +160,7 @@ def test_solver_tau_at_most_one_over_k_is_infeasible():
 
 def test_solver_rejects_tau_outside_unit_interval():
     source = lm([[1.0, 0.0]])
-    target = lm([[1.0, 0.0]], "target", "t")
+    target = lm([[1.0, 0.0]], prefix="t")
     with pytest.raises(ValueError):
         solve_temperature(source, target, 1.5)
 
@@ -177,7 +171,7 @@ def test_solver_matches_grid_scan_oracle(seed):
     source_logits = rng.standard_normal((50, 10)) * 2
     target_logits = rng.standard_normal((40, 10)) * 2
     result = solve_temperature(
-        lm(source_logits), lm(target_logits, "target", "t"), 0.9
+        lm(source_logits), lm(target_logits, prefix="t"), 0.9
     )
     assert abs(result.achieved_mean - 0.9) <= 1e-6
     scanned = grid_scan_temperature(source_logits, target_logits, 0.9)
@@ -189,7 +183,7 @@ def test_solver_matches_grid_scan_oracle(seed):
 def test_solver_hits_arbitrary_targets(seed, tau):
     rng = rng_for(seed, "solver-prop")
     source = lm(rng.standard_normal((12, 5)) * 3)
-    target = lm(rng.standard_normal((9, 5)) * 3, "target", "t")
+    target = lm(rng.standard_normal((9, 5)) * 3, prefix="t")
     result = solve_temperature(source, target, tau)
     assert abs(result.achieved_mean - tau) <= 1e-6
     assert mean_winning_probability(source, target, result.temperature) == pytest.approx(

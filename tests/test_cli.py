@@ -367,6 +367,21 @@ def test_train_missing_dataset_file_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("slot", ["target", "config", "checkpoint"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(bench, tmp_path, capsys, slot):
+    source, target = bench
+    bad = tmp_path / "random.bin"
+    bad.write_bytes(np.random.default_rng(0).bytes(500))
+    args = {
+        "target": _train_args(source, str(bad)),
+        "config": _train_args(source, target, "--config", str(bad)),
+        "checkpoint": ["eval", "--checkpoint", str(bad), "--dataset", target],
+    }[slot]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "UTF-8" in err
+
+
 @pytest.fixture(scope="module")
 def wide_sources(tmp_path_factory):
     """Ten-feature sources with three and with five classes, to pair with bench."""

@@ -1,14 +1,18 @@
 """Unit tests for seeded streams, the synthetic benchmark, and file formats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swguide.cli import read_config_file
 from swguide.data import (
     DomainDataset,
     EpisodeMetrics,
     SyntheticSpec,
     generate,
-    logit_matrix,
     make_benchmark,
     read_array_file,
     read_dataset,
@@ -24,6 +28,7 @@ from swguide.data import (
 )
 from swguide.errors import (
     ClassMismatchError,
+    GuidanceError,
     InvalidSpecError,
     NonFiniteError,
     ParseError,
@@ -133,14 +138,6 @@ def test_dataset_validation(mutation, error):
         DomainDataset(**base)
 
 
-def test_logit_matrix_maps_roles_to_domains():
-    matrix = logit_matrix(_small_dataset())
-    assert matrix.domains == ("source", "target", "source")
-    np.testing.assert_array_equal(matrix.logits, _small_dataset().zeroshot)
-    forced = logit_matrix(_small_dataset(), domain="target")
-    assert forced.domains == ("target",) * 3
-
-
 # ---------------------------------------------------------------------------
 # Synthetic benchmark
 # ---------------------------------------------------------------------------
@@ -166,6 +163,12 @@ def test_spec_validation():
             class_std=1.0,
             noise_scale=0.0,
         )
+
+
+@pytest.mark.parametrize("per_class", [4000, ("4",) * 5, (4.0,) * 5, "44444"])
+def test_spec_per_class_must_be_a_sequence_of_integers(per_class):
+    with pytest.raises(InvalidSpecError, match="per_class"):
+        dataclasses.replace(SyntheticSpec.standard(), per_class=per_class)
 
 
 def test_standard_spec_is_seed_deterministic():
@@ -305,6 +308,16 @@ def test_read_dataset_rejects_bad_numbers_and_headers(tmp_path):
         read_dataset(path)
 
 
+def test_read_dataset_rejects_a_label_beyond_int64(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(
+        "id,domain,label,f:1,z:2\ns0,source,99999999999999999999999,1.0,0.5,0.5\n"
+    )
+    with pytest.raises(ParseError, match="int64") as excinfo:
+        read_dataset(path)
+    assert excinfo.value.line_number == 2
+
+
 def test_read_dataset_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.txt"
     path.write_text(
@@ -433,3 +446,52 @@ def test_array_file_errors(tmp_path):
         read_array_file(path)
     with pytest.raises(ClassMismatchError):
         write_array_file(path, {"w": np.zeros(3)})
+
+
+@pytest.mark.parametrize("dims", ["-3 2", "0 -2", "-1 -1", "0 99999999999999999999"])
+def test_array_file_rejects_negative_or_oversized_dims(tmp_path, dims):
+    path = tmp_path / "ckpt.txt"
+    path.write_text(f"# swguide arrays v1\narray w {dims}\n")
+    with pytest.raises(ParseError) as excinfo:
+        read_array_file(path)
+    assert excinfo.value.line_number == 2
+
+
+# ---------------------------------------------------------------------------
+# Every reader on arbitrary input
+# ---------------------------------------------------------------------------
+
+_FORMAT_HEADS = (
+    "",
+    "id,domain,label,f:1,z:2\n",
+    "id,p:2\n",
+    "# swguide arrays v1\narray w 1 2\n",
+    "episode=0 l_ce=0.5 l_kd=0.1 l_ad=0.7 target_accuracy=",
+    "episodes=",
+)
+# Characters that make up numbers, roles, ids and separators, so that
+# generated text gets past the headers into the field parsers.
+_FIELD_CHARS = "0123456789+-.,:=e \nsourcetagpnifx_#"
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [read_dataset, read_predictions, read_metrics, read_array_file, read_config_file],
+)
+@settings(max_examples=60, deadline=None)
+@given(
+    content=st.one_of(
+        st.binary(max_size=200),
+        st.tuples(
+            st.sampled_from(_FORMAT_HEADS),
+            st.text(max_size=120) | st.text(_FIELD_CHARS, max_size=120),
+        ).map(lambda parts: "".join(parts).encode("utf-8")),
+    )
+)
+def test_readers_return_or_raise_a_guidance_error(tmp_path_factory, reader, content):
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{reader.__name__}.txt"
+    path.write_bytes(content)
+    try:
+        reader(path)
+    except GuidanceError:
+        pass

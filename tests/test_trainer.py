@@ -8,10 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from swguide.calibration import mean_winning_probability, solve_temperature, stable_softmax
+from swguide.calibration import (
+    LogitMatrix,
+    mean_winning_probability,
+    solve_temperature,
+    stable_softmax,
+)
 from swguide.data import (
     SyntheticSpec,
-    logit_matrix,
     make_benchmark,
     rng_for,
 )
@@ -239,7 +243,9 @@ def test_build_teachers_calibrates_to_tau():
     source, target = small_benchmark()
     temperature, t_src, t_tgt = build_teachers(small_config(tau=0.8), source, target)
     achieved = mean_winning_probability(
-        logit_matrix(source), logit_matrix(target), temperature
+        LogitMatrix(source.zeroshot, source.sample_ids),
+        LogitMatrix(target.zeroshot, target.sample_ids),
+        temperature,
     )
     assert abs(achieved - 0.8) <= 1e-6
     # Each teacher is row-aligned with its dataset; the trainer gathers by row.
@@ -400,3 +406,39 @@ def test_trained_params_are_views_of_one_flat_buffer():
     assert base is not None and base.ndim == 1
     assert all(array.base is base for array in trainable)
     assert base.size == sum(array.size for array in trainable)
+
+
+def _keep_rows(dataset, keep):
+    rows = np.flatnonzero(keep)
+    return dataclasses.replace(
+        dataset,
+        sample_ids=tuple(dataset.sample_ids[i] for i in rows),
+        roles=tuple(dataset.roles[i] for i in rows),
+        labels=dataset.labels[rows],
+        features=dataset.features[rows],
+        zeroshot=dataset.zeroshot[rows],
+    )
+
+
+def _never_predicted(dataset, cls):
+    shifted = dataset.zeroshot - 100.0 * np.eye(dataset.n_classes)[cls]
+    return dataclasses.replace(dataset, zeroshot=shifted)
+
+
+@pytest.mark.parametrize("tau", [0.9, None], ids=["tau0.9", "tau-none"])
+@pytest.mark.parametrize("scheme", ["v1", "v2"])
+@pytest.mark.parametrize("case", ["single_class_target", "never_predicted_class"])
+def test_degenerate_class_layouts_train_to_row_stochastic_predictions(case, scheme, tau):
+    source, target = small_benchmark(per_class=10)
+    if case == "single_class_target":
+        target = _keep_rows(target, target.labels == 1)
+        assert set(target.labels) == {1}
+    else:
+        source, target = _never_predicted(source, 2), _never_predicted(target, 2)
+        assert (target.zeroshot.argmax(axis=1) != 2).all()
+    result = run(small_config(scheme=scheme, tau=tau), source, target)
+    probs = result.prediction_probs
+    assert probs.shape == (len(target), 3)
+    assert np.isfinite(probs).all() and (probs >= 0.0).all()
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert 0.0 <= result.accuracy <= 1.0

@@ -34,7 +34,7 @@ from .errors import (
 PROB_FLOOR = 1e-12
 
 
-def _as_matrix(value) -> np.ndarray:
+def as_matrix(value) -> np.ndarray:
     """Coerce ``value`` to a 2-D float64 array (rows stay rows)."""
     if (
         type(value) is np.ndarray
@@ -99,7 +99,7 @@ class Tape:
         gradient into (for example a view of a flat gradient buffer); it
         must have the leaf's shape and is used as it is, not zeroed.
         """
-        value = _as_matrix(value)
+        value = as_matrix(value)
         if grad is not None and grad.shape != value.shape:
             raise ShapeMismatchError(
                 f"leaf gradient shape {grad.shape} != value shape {value.shape}"
@@ -171,7 +171,7 @@ def mul(a: Node, b: Node) -> Node:
 
 def _constant_for(a: Node, value, op: str) -> np.ndarray:
     """``value`` as a matrix that broadcasts to ``a``'s shape without growing it."""
-    c = _as_matrix(value)
+    c = as_matrix(value)
     (ar, ac), (cr, cc) = a.value.shape, c.shape
     if cr not in (1, ar) or cc not in (1, ac):
         raise ShapeMismatchError(
@@ -218,7 +218,7 @@ def mean(a: Node) -> Node:
 
 def weighted_sum(a: Node, weights) -> Node:
     """``sum(a * weights)`` as a 1x1 matrix; ``weights`` is a constant array."""
-    w = _as_matrix(weights)
+    w = as_matrix(weights)
     if w.shape != a.value.shape:
         raise ShapeMismatchError(
             f"weighted_sum weights shape {w.shape} != value shape {a.value.shape}"
@@ -267,6 +267,20 @@ def outer_rows(f: Node, p: Node) -> Node:
     return tape._record(np.ascontiguousarray(out), "outer_rows", (f, p))
 
 
+def norm_affine(h: np.ndarray, offset, inv_std, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``((h + offset) * inv_std) * gamma + beta`` as a new array, op for op,
+    for (n, d) ``h`` and (1, d) rows: the one copy of the norm arithmetic,
+    called by each :func:`domain_affine` branch and by tape-free inference."""
+    for row in (offset, inv_std, gamma, beta):
+        if row.shape != (1, h.shape[1]):
+            raise ShapeMismatchError(f"norm row shape {row.shape} != {(1, h.shape[1])}")
+    y = h + offset
+    y *= inv_std
+    y *= gamma
+    y += beta
+    return y
+
+
 def domain_affine(h: Node, branches) -> Node:
     """Per-domain normalization with learnable affine, blended by row masks.
 
@@ -275,28 +289,17 @@ def domain_affine(h: Node, branches) -> Node:
     running standard deviation), ``gamma`` and ``beta`` are (1, d) nodes, and
     ``mask`` is a constant 0/1 column selecting the branch's rows, or None
     for a branch that covers every row.  The value is the sum, in branch
-    order, of ``(((h + offset) * inv_std) * gamma + beta) * mask``: every
+    order, of ``norm_affine(h, offset, inv_std, gamma, beta) * mask``: every
     branch is computed over the whole batch, with the same arithmetic as the
     ``shift``/``scale``/``mul``/``add`` composition it replaces.
     """
-    d = h.value.shape[1]
     parents = [h]
     kept = []
     out = None
     for mask, offset, inv_std, gamma, beta in branches:
-        for node in (gamma, beta):
-            if node.value.shape != (1, d):
-                raise ShapeMismatchError(
-                    f"domain_affine gamma/beta shape {node.value.shape} != {(1, d)}"
-                )
         if mask is not None:
             mask = _constant_for(h, mask, "domain_affine")
-        offset = _constant_for(h, offset, "domain_affine")
-        inv_std = _constant_for(h, inv_std, "domain_affine")
-        y = h.value + offset  # then in place, op for op: ((h + offset) * inv_std) * gamma + beta
-        y *= inv_std
-        y *= gamma.value
-        y += beta.value
+        y = norm_affine(h.value, offset, inv_std, gamma.value, beta.value)
         if mask is not None:
             y *= mask
         if out is None:

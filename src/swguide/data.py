@@ -476,7 +476,8 @@ def write_predictions(path, sample_ids, probs: np.ndarray):
 
 
 def read_predictions(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a predictions file; rows must sum to 1 within 1e-6.
+    """Read a predictions file; entries must lie in [0, 1] and rows sum
+    to 1 within 1e-6.
 
     Rows already within 1e-12 of unit mass are kept bit-exact;
     anything looser (but within tolerance) is renormalized.
@@ -502,8 +503,10 @@ def read_predictions(path) -> tuple[tuple[str, ...], np.ndarray]:
             row = np.array([float(v) for v in fields[1:]], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"bad probability field: {exc}", path, line_number) from None
+        if not ((row >= 0.0) & (row <= 1.0)).all():
+            raise ParseError("a probability lies outside [0, 1]", path, line_number)
         total = row.sum()
-        if not np.isfinite(total) or abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > 1e-6:
             raise ParseError(
                 f"row mass {total!r} is not 1 within 1e-6", path, line_number
             )

@@ -150,11 +150,13 @@ def expand_dataset(
         raise UnknownSampleIdError(
             f"{len(selection.sample_ids)} selected ids for {len(rows)} rows"
         )
-    for sid, row in zip(selection.sample_ids, rows.tolist()):
-        if target.sample_ids[row] != sid:
-            raise UnknownSampleIdError(
-                f"selected id {sid!r} is not the target sample at row {row}"
-            )
+    selected_ids = np.fromiter(selection.sample_ids, dtype=object, count=len(rows))
+    wrong = np.fromiter(target.sample_ids, dtype=object, count=len(target))[rows] != selected_ids
+    if wrong.any():
+        first = wrong.argmax()
+        raise UnknownSampleIdError(
+            f"selected id {selected_ids[first]!r} is not the target sample at row {rows[first]}"
+        )
     return DomainDataset(
         sample_ids=source.sample_ids + selection.sample_ids,
         roles=source.roles + ("pseudo_source",) * len(rows),

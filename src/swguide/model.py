@@ -7,19 +7,24 @@ The discriminator consumes the flattened outer product f ⊗ p through a
 gradient-reversal layer, one hidden relu layer, and a sigmoid unit.
 
 Normalization always runs in inference form — each sample is normalized
-with the running statistics of its own domain tag, then scaled/shifted by
+with the running statistics of its own domain, then scaled/shifted by
 that domain's learnable γ, β.  Running statistics are set once by the
 norm-adaptation pass and are never updated by gradient steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NonPositiveVarianceError, ShapeMismatchError, UnknownDomainTagError
+from .errors import (
+    NonFiniteError,
+    NonPositiveVarianceError,
+    ShapeMismatchError,
+    UnknownDomainTagError,
+)
 
 NORM_DOMAINS = ("source", "target")
 
@@ -113,24 +118,7 @@ class ModelParams:
         }
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            extractor=[(w.copy(), b.copy()) for w, b in self.extractor],
-            norm_states=[
-                {
-                    domain: replace(
-                        state,
-                        gamma=state.gamma.copy(),
-                        beta=state.beta.copy(),
-                        running_mean=state.running_mean.copy(),
-                        running_var=state.running_var.copy(),
-                    )
-                    for domain, state in states.items()
-                }
-                for states in self.norm_states
-            ],
-            classifier=(self.classifier[0].copy(), self.classifier[1].copy()),
-            discriminator=[(w.copy(), b.copy()) for w, b in self.discriminator],
-        )
+        return params_from_named({k: v.copy() for k, v in self.named_arrays().items()})
 
 
 def params_from_named(named: dict[str, np.ndarray]) -> ModelParams:
@@ -140,7 +128,9 @@ def params_from_named(named: dict[str, np.ndarray]) -> ModelParams:
     (a layer's bias and norm states with its weight's columns, the next
     weight's rows with them, the discriminator input with features ×
     classes, one discriminator output), so a checkpoint NumPy would only
-    broadcast is rejected with :class:`ShapeMismatchError`.
+    broadcast is rejected with :class:`ShapeMismatchError`.  Every array
+    must be finite, or :class:`NonFiniteError` names it, so a checkpoint is
+    refused even for an array that inference never reads.
     """
 
     def get(name: str) -> np.ndarray:
@@ -149,6 +139,8 @@ def params_from_named(named: dict[str, np.ndarray]) -> ModelParams:
         array = named[name]
         if np.ndim(array) != 2:
             raise ShapeMismatchError(f"{name} must be 2-D, got shape {np.shape(array)}")
+        if not np.isfinite(array).all():
+            raise NonFiniteError(f"{name} contains non-finite entries")
         return array
 
     def expect(name: str, array: np.ndarray, shape):
@@ -298,79 +290,37 @@ def lift(tape: ad.Tape, params: ModelParams, grad: np.ndarray | None = None) -> 
         nonlocal offset
         if grad is None:
             return tape.leaf(array)
-        end = offset + array.size
-        if end > grad.size:
+        offset += array.size
+        if offset > grad.size:
             raise ShapeMismatchError(f"flat gradient of {grad.size} entries is too short")
-        node = tape.leaf(array, grad[offset:end].reshape(array.shape))
-        offset = end
-        return node
+        return tape.leaf(array, grad[offset - array.size : offset].reshape(array.shape))
 
-    extractor = [(leaf(w), leaf(b)) for w, b in params.extractor]
-    norms = [
-        {
-            domain: (leaf(states[domain].gamma), leaf(states[domain].beta))
-            for domain in NORM_DOMAINS
-        }
-        for states in params.norm_states
-    ]
-    classifier = (leaf(params.classifier[0]), leaf(params.classifier[1]))
-    discriminator = [(leaf(w), leaf(b)) for w, b in params.discriminator]
-    if grad is not None and offset != grad.size:
-        raise ShapeMismatchError(
-            f"flat gradient has {grad.size} entries, the model {offset}"
-        )
-    return ParamNodes(
-        extractor=extractor,
-        norms=norms,
-        classifier=classifier,
-        discriminator=discriminator,
+    nodes = ParamNodes(  # leaves in trainable_arrays() order
+        extractor=[(leaf(w), leaf(b)) for w, b in params.extractor],
+        norms=[
+            {d: (leaf(states[d].gamma), leaf(states[d].beta)) for d in NORM_DOMAINS}
+            for states in params.norm_states
+        ],
+        classifier=(leaf(params.classifier[0]), leaf(params.classifier[1])),
+        discriminator=[(leaf(w), leaf(b)) for w, b in params.discriminator],
     )
+    if grad is not None and offset != grad.size:
+        raise ShapeMismatchError(f"flat gradient has {grad.size} entries, the model {offset}")
+    return nodes
 
 
-def _domain_masks(domain_tags) -> dict[str, np.ndarray | None]:
-    """(n, 1) 0/1 column per domain present, in fixed NORM_DOMAINS order;
-    None when a single domain covers every row."""
-    tags = np.fromiter(domain_tags, dtype=object)
-    hits = {domain: tags == domain for domain in NORM_DOMAINS}
-    known = np.any(list(hits.values()), axis=0)
-    if not known.all():
-        raise UnknownDomainTagError(f"unknown domain tag {tags[known.argmin()]!r}")
-    masks = {
-        domain: hit.astype(np.float64).reshape(-1, 1)
-        for domain, hit in hits.items()
-        if hit.any()
-    }
-    if len(masks) == 1:
-        return dict.fromkeys(masks)
-    return masks
-
-
-def forward_on_tape(
-    tape: ad.Tape,
-    nodes: ParamNodes,
-    params: ModelParams,
-    x: ad.Node,
-    domain_tags,
-    collect_prenorm: bool = False,
-):
-    """Differentiable forward pass: returns (f, logits, p[, prenorm values]).
+def forward_on_tape(nodes: ParamNodes, params: ModelParams, x: ad.Node, masks):
+    """Differentiable forward pass: returns (f, logits, p) nodes.
 
     ``params`` supplies the constant running statistics; ``nodes`` the
-    trainable leaves.  Each norm layer is one ``domain_affine`` node: it
-    computes every domain's normalized output over the whole batch and
-    blends them with 0/1 row masks, so a single tape serves mixed-domain
-    batches.
+    trainable leaves.  ``masks`` maps each domain in the batch, in
+    ``NORM_DOMAINS`` order, to a 0/1 column selecting its rows (None: every
+    row).  Each norm layer is one ``domain_affine`` node that blends the
+    domains' branches with the masks, so one tape serves mixed batches.
     """
-    tags = list(domain_tags)
-    if x.value.shape[0] != len(tags):
-        raise ShapeMismatchError(f"{x.value.shape[0]} rows but {len(tags)} domain tags")
-    masks = _domain_masks(tags)
-    prenorm = []
     h = x
     for layer, (weight, bias) in enumerate(nodes.extractor):
         h = ad.add(ad.matmul(h, weight), bias)
-        if collect_prenorm:
-            prenorm.append(h.value.copy())
         branches = []
         for domain, mask in masks.items():
             state = params.norm_states[layer][domain]
@@ -379,17 +329,11 @@ def forward_on_tape(
                 (mask, -state.running_mean, 1.0 / np.sqrt(state.running_var), gamma, beta)
             )
         h = ad.relu(ad.domain_affine(h, branches))
-    features = h
-    logits = ad.add(ad.matmul(features, nodes.classifier[0]), nodes.classifier[1])
-    probs = ad.softmax_rows(logits, 1.0)
-    if collect_prenorm:
-        return features, logits, probs, prenorm
-    return features, logits, probs
+    logits = ad.add(ad.matmul(h, nodes.classifier[0]), nodes.classifier[1])
+    return h, logits, ad.softmax_rows(logits, 1.0)
 
 
-def discriminate_on_tape(
-    tape: ad.Tape, nodes: ParamNodes, joint: ad.Node, lam: float
-) -> ad.Node:
+def discriminate_on_tape(nodes: ParamNodes, joint: ad.Node, lam: float) -> ad.Node:
     """Domain probability per row: reversal → hidden relu layers → sigmoid."""
     h = ad.gradient_reverse(joint, lam)
     for weight, bias in nodes.discriminator[:-1]:
@@ -398,11 +342,50 @@ def discriminate_on_tape(
     return ad.sigmoid(ad.add(ad.matmul(h, weight), bias))
 
 
-def forward(params: ModelParams, x, domain_tags):
-    """Eager forward pass; returns (features, probabilities) as arrays."""
-    tape = ad.Tape()
-    nodes = lift(tape, params)
-    x_node = tape.leaf(x)
-    features, _, probs = forward_on_tape(tape, nodes, params, x_node, domain_tags)
-    return features.value.copy(), probs.value.copy()
+def _finite(array: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(array).all():
+        raise NonFiniteError(f"{what} is not finite")
+    return array
 
+
+def _dense(h: np.ndarray, weight: np.ndarray, bias: np.ndarray, what: str) -> np.ndarray:
+    if h.shape[1] != weight.shape[0] or bias.shape != (1, weight.shape[1]):
+        raise ShapeMismatchError(
+            f"{what}: matmul inner dims differ: {h.shape} @ {weight.shape} + {bias.shape}"
+        )
+    out = h @ weight
+    out += bias
+    return _finite(out, what)
+
+
+def extract(params: ModelParams, x, domain: str, observe) -> np.ndarray:
+    """Features of every row of ``x`` in ``domain``'s norm layers, with no tape.
+
+    Each layer is ``h @ W + b``, :func:`autodiff.norm_affine`, relu: the
+    arithmetic of :func:`forward_on_tape` with ``{domain: None}``, op for op.
+    ``observe`` sees each norm layer's input, which is then dropped.  A
+    non-finite input or layer output raises ``NonFiniteError``.
+    """
+    if domain not in NORM_DOMAINS:
+        raise UnknownDomainTagError(f"unknown domain tag {domain!r}")
+    h = _finite(ad.as_matrix(x), "input")
+    for layer, (weight, bias) in enumerate(params.extractor):
+        h = _dense(h, weight, bias, f"layer {layer}")
+        observe(h)
+        state = params.norm_states[layer][domain]
+        h = ad.norm_affine(
+            h, -state.running_mean, 1.0 / np.sqrt(state.running_var), state.gamma, state.beta
+        )
+        h = np.maximum(_finite(h, f"norm {layer}"), 0.0, out=h)  # relu keeps h finite
+    return h
+
+
+def forward(params: ModelParams, x, domain: str):
+    """Inference with every row in ``domain``; returns (features, probabilities).
+
+    Bit-identical to :func:`forward_on_tape` with ``{domain: None}``, and
+    records no tape.
+    """
+    features = extract(params, x, domain, lambda h: None)
+    logits = _dense(features, *params.classifier, "logits")
+    return features, ad.stable_softmax(logits, 1.0)  # finite logits give finite probabilities

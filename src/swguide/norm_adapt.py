@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import DomainDataset
 from .errors import EmptyDomainError, NonPositiveVarianceError
-from .model import ModelParams, NormLayerState, forward_on_tape, lift
+from .model import ModelParams, NormLayerState, extract
 
 VAR_FLOOR = 1e-5
 
@@ -29,23 +28,19 @@ def estimate_stats(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (mean, variance) of the activations entering each norm layer.
 
-    One full pass over ``dataset`` with every sample tagged ``domain`` and
-    the layers normalizing with their current (pretrained) statistics.
+    One :func:`~swguide.model.extract` pass over ``dataset``, every sample
+    normalized with ``domain``'s current (pretrained) statistics.
     Variances are population (biased) and floored at ``VAR_FLOOR``.
     """
     if len(dataset) == 0:
         raise EmptyDomainError("cannot estimate statistics from an empty dataset")
-    tape = ad.Tape()
-    nodes = lift(tape, params)
-    x = tape.leaf(dataset.features)
-    *_, prenorm = forward_on_tape(
-        tape, nodes, params, x, (domain,) * len(dataset), collect_prenorm=True
-    )
     stats = []
-    for activations in prenorm:
-        mu = activations.mean(axis=0, keepdims=True)
-        var = np.maximum(activations.var(axis=0, keepdims=True), VAR_FLOOR)
-        stats.append((mu, var))
+
+    def observe(h):
+        var = np.maximum(h.var(axis=0, keepdims=True), VAR_FLOOR)
+        stats.append((h.mean(axis=0, keepdims=True), var))
+
+    extract(params, dataset.features, domain, observe)
     return stats
 
 
@@ -71,10 +66,8 @@ def adapt_model(
 ) -> ModelParams:
     """Adjust every layer's source states from ``source`` and target states
     from ``target``; returns a new ModelParams, inputs untouched."""
-    source_stats = estimate_stats(params, source, "source")
-    target_stats = estimate_stats(params, target, "target")
     adapted = params.copy()
-    for layer, states in enumerate(adapted.norm_states):
-        states["source"] = adjust_params(states["source"], *source_stats[layer])
-        states["target"] = adjust_params(states["target"], *target_stats[layer])
+    for domain, dataset in (("source", source), ("target", target)):
+        for states, stats in zip(adapted.norm_states, estimate_stats(params, dataset, domain)):
+            states[domain] = adjust_params(states[domain], *stats)
     return adapted

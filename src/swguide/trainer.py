@@ -53,6 +53,9 @@ from .model import (
 from .norm_adapt import adapt_model
 
 SCHEMES = ("v1", "v2", "weak_only", "cdan_only", "zeroshot_only")
+# Largest accepted batch_size.  Runs use at most 512; the bound stops a
+# mistyped size before a step allocates arrays that cannot fit in memory.
+MAX_BATCH_SIZE = 65536
 LAMBDA_MODES = ("fixed", "ramp")
 # Config fields that must be finite numbers (tau may also be None).
 _FLOAT_FIELDS = (
@@ -115,8 +118,10 @@ class TrainConfig:
                 raise ConfigInvalidError(f"{name} must lie in [0, 1], got {value}")
         if self.episodes < 1:
             raise ConfigInvalidError(f"episodes must be >= 1, got {self.episodes}")
-        if self.batch_size < 2:
-            raise ConfigInvalidError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not 2 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise ConfigInvalidError(
+                f"batch_size must lie in [2, {MAX_BATCH_SIZE}], got {self.batch_size}"
+            )
         if self.lr_extractor <= 0.0 or self.lr_heads <= 0.0:
             raise ConfigInvalidError("learning rates must be positive")
         if self.lambda_mode not in LAMBDA_MODES:
@@ -249,13 +254,13 @@ def evaluate(params: ModelParams, target: DomainDataset) -> float:
         raise UnlabeledError("cannot evaluate on an empty dataset")
     if (target.labels < 0).any():
         raise UnlabeledError("evaluation needs ground-truth labels for every sample")
-    _, probs = forward(params, target.features, ("target",) * len(target))
+    _, probs = forward(params, target.features, "target")
     return float((probs.argmax(axis=1) == target.labels).mean())
 
 
 def predict_target(params: ModelParams, target: DomainDataset) -> np.ndarray:
     """Temperature-1 class probabilities for every target sample."""
-    _, probs = forward(params, target.features, ("target",) * len(target))
+    _, probs = forward(params, target.features, "target")
     return probs
 
 
@@ -350,10 +355,11 @@ def _single_run(
     total_steps = config.episodes * steps_per_episode
     global_step = 0
 
-    batch_tags = (
-        ("source",) * src_half + ("target",) * tgt_half
-    ) * 2
+    # Every batch is laid out as [source, target, augmented source,
+    # augmented target] halves, so its domain masks are fixed for the run.
     ce_mask = np.array(([True] * src_half + [False] * tgt_half) * 2)
+    source_rows = ce_mask.astype(np.float64).reshape(-1, 1)
+    domain_masks = {"source": source_rows, "target": 1.0 - source_rows}
 
     metrics: list[EpisodeMetrics] = []
     for episode in range(config.episodes):
@@ -387,7 +393,7 @@ def _single_run(
             grad.fill(0.0)
             nodes = lift(tape, params, grad)
             x = tape.leaf(batch_x)
-            features, _, probs = forward_on_tape(tape, nodes, params, x, batch_tags)
+            features, _, probs = forward_on_tape(nodes, params, x, domain_masks)
 
             terms: list[ad.Node] = []
             l_ce = l_kd = l_ad = 0.0
@@ -405,7 +411,7 @@ def _single_run(
             if config.w_ad > 0.0 and both_domains:
                 lam = lambda_at(config, global_step, total_steps)
                 joint = ad.outer_rows(features, probs)
-                d_hat = discriminate_on_tape(tape, nodes, joint, lam)
+                d_hat = discriminate_on_tape(nodes, joint, lam)
                 ad_node = adversarial_loss_node(d_hat, domain_labels)
                 l_ad = float(ad_node.value[0, 0])
                 terms.append(ad_node if config.w_ad == 1.0 else ad.scale(ad_node, config.w_ad))

@@ -74,7 +74,8 @@ def tiny_batch(seed: int, d_x: int = 4, k: int = 3, n_src: int = 3, n_tgt: int =
     rng = rng_for(seed, "test", "tiny-batch")
     n = n_src + n_tgt
     x = rng.standard_normal((n, d_x))
-    tags = ("source",) * n_src + ("target",) * n_tgt
+    source_rows = np.array([1.0] * n_src + [0.0] * n_tgt).reshape(-1, 1)
+    masks = {"source": source_rows, "target": 1.0 - source_rows}
     labels = np.concatenate(
         [rng.integers(0, k, size=n_src), np.full(n_tgt, -1, dtype=np.int64)]
     )
@@ -84,7 +85,7 @@ def tiny_batch(seed: int, d_x: int = 4, k: int = 3, n_src: int = 3, n_tgt: int =
     domain_labels = np.array([1.0] * n_src + [0.0] * n_tgt).reshape(-1, 1)
     return {
         "x": x,
-        "tags": tags,
+        "masks": masks,
         "labels": labels,
         "mask": mask,
         "teacher": teacher,
@@ -94,14 +95,14 @@ def tiny_batch(seed: int, d_x: int = 4, k: int = 3, n_src: int = 3, n_tgt: int =
 
 def _loss_node(tape, nodes, params, batch, kind: str, lam: float):
     x = tape.leaf(batch["x"])
-    features, _, probs = forward_on_tape(tape, nodes, params, x, batch["tags"])
+    features, _, probs = forward_on_tape(nodes, params, x, batch["masks"])
     if kind == "ce":
         return classification_loss_node(probs, batch["labels"], batch["mask"])
     if kind == "kd":
         return kd_loss_node(probs, batch["teacher"])
     if kind == "ad":
         joint = ad.outer_rows(features, probs)
-        d_hat = discriminate_on_tape(tape, nodes, joint, lam)
+        d_hat = discriminate_on_tape(nodes, joint, lam)
         return adversarial_loss_node(d_hat, batch["domain_labels"])
     raise ValueError(kind)
 

@@ -197,8 +197,8 @@ def test_criterion_3_norm_adjustment(capsys):
     adapted = adapt_model(params, source, target)
     model_dev = 0.0
     for data, tag in ((source, "source"), (target, "target")):
-        f_old, p_old = forward(params, data.features, (tag,) * len(data))
-        f_new, p_new = forward(adapted, data.features, (tag,) * len(data))
+        f_old, p_old = forward(params, data.features, tag)
+        f_new, p_new = forward(adapted, data.features, tag)
         model_dev = max(model_dev, float(np.abs(f_new - f_old).max()))
         model_dev = max(model_dev, float(np.abs(p_new - p_old).max()))
 

@@ -358,6 +358,37 @@ def test_eval_rejects_a_checkpoint_with_a_broadcastable_width(
     assert out == "" and err.startswith("error:") and next(iter(changes)) in err
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("norm.1.target.gamma", np.inf), ("classifier.weight", np.nan),
+     ("discriminator.0.weight", np.inf)],
+    ids=["norm-gamma-inf", "classifier-nan", "discriminator-inf"],
+)
+def test_eval_rejects_a_checkpoint_with_a_non_finite_array(
+    bench, checkpoint, tmp_path, capsys, name, value
+):
+    _, target = bench
+    array = checkpoint[name].copy()
+    array[0, -1] = value
+    path = tmp_path / "checkpoint.txt"
+    write_array_file(path, {**checkpoint, name: array})
+    code = main(["eval", "--checkpoint", str(path), "--dataset", target])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and name in err
+
+
+def test_eval_of_a_dataset_wider_than_the_checkpoint_exits_2(
+    checkpoint, wide_sources, tmp_path, capsys
+):
+    path = tmp_path / "checkpoint.txt"
+    write_array_file(path, checkpoint)
+    code = main(["eval", "--checkpoint", str(path), "--dataset", wide_sources["3"][1]])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "matmul inner dims differ" in err
+
+
 def test_train_missing_dataset_file_is_a_clean_error(tmp_path, capsys):
     code = main(
         ["train", "--source", str(tmp_path / "missing.txt"),

@@ -368,6 +368,18 @@ def test_predictions_reject_rows_far_from_unit_mass(tmp_path):
         read_predictions(path)
 
 
+@pytest.mark.parametrize(
+    "row", ["2.0,-1.0", "-0.0,1.0,nan", "inf,0.0"], ids=["unit-mass", "nan", "inf"]
+)
+def test_predictions_reject_entries_outside_the_unit_interval(tmp_path, row):
+    path = tmp_path / "pred.txt"
+    width = row.count(",") + 1
+    path.write_text(f"id,p:{width}\nt0,0.5,0.5{',0.0' * (width - 2)}\nt1,{row}\n")
+    with pytest.raises(ParseError, match=r"outside \[0, 1\]") as excinfo:
+        read_predictions(path)
+    assert excinfo.value.line_number == 3
+
+
 def test_write_predictions_validates_shape(tmp_path):
     with pytest.raises(ClassMismatchError):
         write_predictions(tmp_path / "x.txt", ["a", "b"], np.ones((1, 2)))

@@ -7,6 +7,7 @@ import pytest
 from swguide.calibration import stable_softmax
 from swguide.data import read_array_file, rng_for, write_array_file
 from swguide.errors import (
+    NonFiniteError,
     NonPositiveVarianceError,
     ShapeMismatchError,
     UnknownDomainTagError,
@@ -22,7 +23,7 @@ from swguide.model import (
 )
 from swguide import autodiff as ad
 from swguide.losses import adversarial_loss_node
-from swguide.model import NORM_DOMAINS, _domain_masks, discriminate_on_tape, forward_on_tape
+from swguide.model import NORM_DOMAINS, discriminate_on_tape, forward_on_tape
 
 from helpers import (
     fd_reference_grads,
@@ -142,8 +143,8 @@ def test_lift_with_a_flat_gradient_fills_it_like_separate_leaves():
     grad = np.zeros_like(flat)
     tape = ad.Tape()
     nodes = lift(tape, packed, grad)
-    features, _, probs = forward_on_tape(tape, nodes, packed, tape.leaf(batch["x"]), batch["tags"])
-    d_hat = discriminate_on_tape(tape, nodes, ad.outer_rows(features, probs), 0.7)
+    features, _, probs = forward_on_tape(nodes, packed, tape.leaf(batch["x"]), batch["masks"])
+    d_hat = discriminate_on_tape(nodes, ad.outer_rows(features, probs), 0.7)
     ad.backward(tape, adversarial_loss_node(d_hat, batch["domain_labels"]))
     np.testing.assert_array_equal(grad, np.concatenate([expected[n].ravel() for n in expected]))
     with pytest.raises(ShapeMismatchError):
@@ -156,7 +157,7 @@ def test_eager_forward_allocates_no_gradients():
     params = tiny_model(5)
     tape = ad.Tape()
     nodes = lift(tape, params)
-    forward_on_tape(tape, nodes, params, tape.leaf(np.ones((2, 4))), ["source", "target"])
+    forward_on_tape(nodes, params, tape.leaf(np.ones((2, 4))), _masks(["source", "target"]))
     assert all(node.grad is None for node in tape.nodes)
     assert sum(node.op == "domain_affine" for node in tape.nodes) == len(params.extractor)
 
@@ -201,15 +202,21 @@ def _reference_forward(params, x, tags):
     return h, logits, exp / exp.sum(axis=1, keepdims=True)
 
 
-def _logits_on_tape(params, x, tags):
+def _masks(tags):
+    """``forward_on_tape`` masks for per-row tags that name both domains."""
+    return {d: np.array([[float(tag == d)] for tag in tags]) for d in NORM_DOMAINS}
+
+
+def _forward_on_tape(params, x, masks):
+    """(features, logits, probabilities) values of one taped forward."""
     tape = ad.Tape()
-    _, logits, _ = forward_on_tape(tape, lift(tape, params), params, tape.leaf(x), tags)
-    return logits.value
+    nodes = forward_on_tape(lift(tape, params), params, tape.leaf(x), masks)
+    return tuple(node.value for node in nodes)
 
 
 def _discriminate_on_tape(params, joint, lam):
     tape = ad.Tape()
-    return discriminate_on_tape(tape, lift(tape, params), tape.leaf(joint), lam).value
+    return discriminate_on_tape(lift(tape, params), tape.leaf(joint), lam).value
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -220,19 +227,28 @@ def test_forward_matches_independent_reference(seed):
     tags = [("source", "target")[int(b)] for b in rng.integers(0, 2, size=7)]
     if len(set(tags)) == 1:
         tags[0] = "target" if tags[0] == "source" else "source"
-    features, probs = forward(params, x, tags)
+    features, logits, probs = _forward_on_tape(params, x, _masks(tags))
     ref_f, ref_logits, ref_p = _reference_forward(params, x, tags)
     np.testing.assert_allclose(features, ref_f, rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs, ref_p, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        _logits_on_tape(params, x, tags), ref_logits, rtol=0, atol=1e-12
-    )
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forward_equals_forward_on_tape_bit_for_bit(seed):
+    params = tiny_model(seed, d_x=3 + seed, k=2 + seed % 3, hidden=2 + 2 * seed)
+    x = rng_for(seed, "forward-vs-tape").standard_normal((9, 3 + seed))
+    for domain in NORM_DOMAINS:
+        features, probs = forward(params, x, domain)
+        tape_f, _, tape_p = _forward_on_tape(params, x, {domain: None})
+        assert features.tobytes() == tape_f.tobytes()
+        assert probs.tobytes() == tape_p.tobytes()
 
 
 def test_forward_shapes_and_row_stochastic_output():
     params = tiny_model(3)
     x = rng_for(3, "shapes").standard_normal((5, 4))
-    features, probs = forward(params, x, ["source"] * 5)
+    features, probs = forward(params, x, "source")
     assert features.shape == (5, 4) and probs.shape == (5, 3)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
     assert (probs > 0).all()
@@ -242,8 +258,7 @@ def test_zeroed_classifier_predicts_uniform():
     params = tiny_model(4)
     params.classifier[0][...] = 0.0
     params.classifier[1][...] = 0.0
-    _, probs = forward(params, rng_for(4, "uniform").standard_normal((6, 4)),
-                       ["target"] * 6)
+    _, probs = forward(params, rng_for(4, "uniform").standard_normal((6, 4)), "target")
     np.testing.assert_array_equal(probs, np.full((6, 3), 1.0 / 3.0))
 
 
@@ -258,9 +273,9 @@ def test_identical_norm_states_make_domain_tags_irrelevant():
             running_var=src.running_var.copy(),
         )
     x = rng_for(5, "tags").standard_normal((6, 4))
-    f_src, p_src = forward(params, x, ["source"] * 6)
-    f_tgt, p_tgt = forward(params, x, ["target"] * 6)
-    f_mix, p_mix = forward(params, x, ["source", "target"] * 3)
+    f_src, p_src = forward(params, x, "source")
+    f_tgt, p_tgt = forward(params, x, "target")
+    f_mix, _, p_mix = _forward_on_tape(params, x, _masks(["source", "target"] * 3))
     np.testing.assert_array_equal(f_src, f_tgt)
     np.testing.assert_array_equal(p_src, p_tgt)
     np.testing.assert_array_equal(f_mix, f_src)
@@ -285,62 +300,48 @@ def test_single_layer_norm_arithmetic_by_hand():
         discriminator=[(np.zeros((4, 2)), np.zeros((1, 2))), (np.zeros((2, 1)), np.zeros((1, 1)))],
     )
     x = np.array([[7.0, 1.0]])
-    features, _ = forward(params, x, ["target"])
+    features, _ = forward(params, x, "target")
     # (x - 3) / 2 * 2 + 1 = x - 2, then relu.
     np.testing.assert_array_equal(features, [[5.0, 0.0]])
-    features_src, _ = forward(params, x, ["source"])
+    features_src, _ = forward(params, x, "source")
     np.testing.assert_array_equal(features_src, [[7.0, 1.0]])
 
 
 def test_forward_validates_tags():
     params = tiny_model(6)
     x = np.zeros((3, 4))
-    with pytest.raises(ShapeMismatchError):
-        forward(params, x, ["source"] * 2)
-    with pytest.raises(UnknownDomainTagError):
-        forward(params, x, ["source", "target", "elsewhere"])
-
-
-@pytest.mark.parametrize(
-    "tags",
-    [["source", "target", "target", "source"], ["target"] * 3, ["source"], []],
-    ids=["mixed", "target-only", "source-only", "empty"],
-)
-def test_domain_masks_match_a_per_tag_loop(tags):
-    masks = _domain_masks(tags)
-    present = [domain for domain in NORM_DOMAINS if domain in tags]
-    assert list(masks) == present
-    for domain, mask in masks.items():
-        if len(present) == 1:
-            assert mask is None
-            continue
-        expected = np.array([[1.0] if tag == domain else [0.0] for tag in tags])
-        assert mask.dtype == np.float64 and mask.shape == (len(tags), 1)
-        assert mask.tobytes() == expected.tobytes()
     with pytest.raises(UnknownDomainTagError, match="'elsewhere'"):
-        _domain_masks([*tags, "elsewhere", "nowhere"])
+        forward(params, x, "elsewhere")
 
 
-def test_collect_prenorm_returns_layer_inputs():
-    params = tiny_model(7)
-    x = rng_for(7, "prenorm").standard_normal((4, 4))
-    tape = ad.Tape()
-    nodes = lift(tape, params)
-    _, _, _, prenorm = forward_on_tape(
-        tape, nodes, params, tape.leaf(x), ["source"] * 4, collect_prenorm=True
-    )
-    assert len(prenorm) == len(params.extractor)
-    np.testing.assert_allclose(
-        prenorm[0], x @ params.extractor[0][0] + params.extractor[0][1], atol=1e-12
-    )
-    assert prenorm[1].shape == (4, 4)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_forward_keeps_the_checks_of_the_tape():
+    params = tiny_model(6)
+    x = rng_for(6, "forward-checks").standard_normal((3, 4))
+    with pytest.raises(ShapeMismatchError, match="matmul inner dims differ"):
+        forward(params, np.zeros((3, 5)), "source")
+    with pytest.raises(NonFiniteError):
+        forward(params, np.where(x > 0, np.inf, x), "source")
+    overflow = params.copy()
+    overflow.extractor[0][0][...] = 1e308
+    with pytest.raises(NonFiniteError, match="layer 0"):
+        forward(overflow, np.abs(x) + 1.0, "source")
+    dead = params.copy()
+    dead.norm_states[1]["target"].gamma[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="norm 1"):
+        forward(dead, x, "target")
+    forward(dead, x, "source")  # the other domain's states are not read
+    loud = params.copy()
+    loud.classifier[0][...] = 1e308
+    with pytest.raises(NonFiniteError, match="logits"):
+        forward(loud, x + 10.0, "source")
 
 
 def test_probs_are_softmax_of_logits():
     params = tiny_model(8)
     x = rng_for(8, "probs").standard_normal((5, 4))
-    _, probs = forward(params, x, ["target"] * 5)
-    logits = _logits_on_tape(params, x, ["target"] * 5)
+    _, probs = forward(params, x, "target")
+    _, logits, _ = _forward_on_tape(params, x, {"target": None})
     np.testing.assert_array_equal(probs, stable_softmax(logits, 1.0))
 
 

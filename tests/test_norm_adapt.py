@@ -174,8 +174,8 @@ def test_adapt_model_preserves_the_forward_function():
     source, target = _dataset(1, 25, "source"), _dataset(1, 20, "target")
     adapted = adapt_model(params, source, target)
     for data, tag in ((source, "source"), (target, "target")):
-        f_old, p_old = forward(params, data.features, (tag,) * len(data))
-        f_new, p_new = forward(adapted, data.features, (tag,) * len(data))
+        f_old, p_old = forward(params, data.features, tag)
+        f_new, p_new = forward(adapted, data.features, tag)
         assert np.abs(f_new - f_old).max() < 1e-9
         assert np.abs(p_new - p_old).max() < 1e-9
 

@@ -21,7 +21,10 @@ from swguide.data import (
 )
 from swguide.errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
 from swguide.model import forward
+from swguide import autodiff as ad
+from swguide.norm_adapt import adapt_model
 from swguide.trainer import (
+    MAX_BATCH_SIZE,
     Adam,
     TrainConfig,
     _IndexStream,
@@ -92,6 +95,12 @@ def small_config(**overrides):
 def test_config_validation_rejects_bad_values(overrides):
     with pytest.raises(ConfigInvalidError):
         TrainConfig(**overrides).validate()
+
+
+def test_config_batch_size_has_a_documented_upper_bound():
+    TrainConfig(batch_size=MAX_BATCH_SIZE).validate()
+    with pytest.raises(ConfigInvalidError, match=f"batch_size.*{MAX_BATCH_SIZE}"):
+        TrainConfig(batch_size=10**8).validate()
 
 
 def test_config_tau_must_beat_chance_for_the_class_count():
@@ -384,6 +393,25 @@ def test_v2_calibrates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_inference_and_norm_adaptation_record_no_tape(monkeypatch):
+    source, target = small_benchmark()
+    params = tiny_model(0, d_x=source.feature_dim, k=source.n_classes)
+    tapes = []
+    init = ad.Tape.__init__
+
+    def counting_init(self):
+        tapes.append(self)
+        init(self)
+
+    monkeypatch.setattr(ad.Tape, "__init__", counting_init)
+    evaluate(params, target)
+    predict_target(params, target)
+    adapt_model(params, source, target.without_labels())
+    assert tapes == []
+    ad.Tape()  # the counter itself works
+    assert len(tapes) == 1
+
+
 def test_finished_tapes_are_freed_without_the_garbage_collector():
     source, target = small_benchmark()
     config = small_config(scheme="v1")
@@ -391,7 +419,7 @@ def test_finished_tapes_are_freed_without_the_garbage_collector():
     gc.disable()
     try:
         result = run(config, source, target)
-        forward(result.params, target.features, ("target",) * len(target))
+        forward(result.params, target.features, "target")
         unreachable = gc.collect()
     finally:
         gc.enable()

@@ -3,9 +3,15 @@
 Every differentiable value lives on a :class:`Tape` as a :class:`Node`.
 Operations append nodes in creation order, so the backward pass is a single
 reversed walk over the tape — no topological sort is needed.  Gradients
-accumulate additively into ``node.grad``, which :func:`backward` allocates,
-so a forward-only tape holds no gradient arrays.  A tape supports exactly
-one backward pass and is meant to be rebuilt from scratch for every step.
+accumulate additively into ``node.grad``, which :func:`backward` fills: a
+node's first gradient contribution becomes its gradient array, so a
+forward-only tape holds no gradient arrays and a backward pass allocates
+none up front.  A tape supports exactly one backward pass and is meant to
+be rebuilt from scratch for every step.
+
+No op ever writes a node's value after recording it (the trainer updates
+parameter arrays only once their step's backward is done), so an identity
+op (:func:`gradient_reverse`) records its input's array as its own value.
 
 A node refers to its tape only weakly, so there is no node↔tape reference
 cycle: a tape and all its nodes are freed by reference counting as soon as
@@ -106,8 +112,10 @@ class Tape:
             )
         return self._record(value, "leaf", (), grad=grad)
 
-    def _record(self, value, op, parents, aux=None, grad=None) -> Node:
-        if not np.isfinite(value).all():
+    def _record(self, value, op, parents, aux=None, grad=None, checked=False) -> Node:
+        """Append a node for ``value``; ``checked`` skips the finiteness
+        check for a value already checked when another node recorded it."""
+        if not checked and not np.isfinite(value).all():
             raise NonFiniteError(f"op {op!r} produced a non-finite value")
         node = Node(self._ref, value, op, parents, aux, grad)
         self.nodes.append(node)
@@ -228,14 +236,21 @@ def weighted_sum(a: Node, weights) -> Node:
     )
 
 
-def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of ``logits / temperature`` with max subtraction."""
+def softmax_numerators(logits, temperature: float = 1.0) -> np.ndarray:
+    """Row-wise ``exp(z - max z)`` for ``z = logits / temperature``: the
+    numerators of :func:`stable_softmax`.  Each row's largest entry is
+    exactly 1.0."""
     t = float(temperature)
     if t <= 0.0:
         raise ValueError(f"softmax temperature must be positive, got {t}")
     z = np.asarray(logits, dtype=np.float64) / t
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
+    z -= z.max(axis=1, keepdims=True)
+    return np.exp(z, out=z)
+
+
+def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
+    """Row-wise softmax of ``logits / temperature`` with max subtraction."""
+    ez = softmax_numerators(logits, temperature)
     return ez / ez.sum(axis=1, keepdims=True)
 
 
@@ -315,11 +330,13 @@ def domain_affine(h: Node, branches) -> Node:
 
 
 def gradient_reverse(a: Node, lam: float) -> Node:
-    """Identity forward; backward multiplies the incoming gradient by ``-lam``."""
+    """Identity forward; backward multiplies the incoming gradient by ``-lam``.
+
+    The node's value is its input's array itself, not a copy."""
     lam = float(lam)
     if lam < 0.0:
         raise ValueError(f"reversal strength must be >= 0, got {lam}")
-    return a.tape._record(a.value.copy(), "gradient_reverse", (a,), aux=lam)
+    return a.tape._record(a.value, "gradient_reverse", (a,), aux=lam, checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -327,53 +344,65 @@ def gradient_reverse(a: Node, lam: float) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def _accumulate(node: Node, grad: np.ndarray, through: Node | None = None):
+    """Add the contribution ``grad`` into ``node.grad``.
+
+    The first contribution becomes the node's gradient array.  ``through``
+    names the node whose gradient ``grad`` may be itself (a pass-through
+    contribution); that array is copied first, so no two nodes share one.
+    """
+    if node.grad is None:
+        node.grad = grad.copy() if through is not None and grad is through.grad else grad
+    else:
+        node.grad += grad
+
+
 def _back_matmul(node):
     a, b = node.parents
-    a.grad += node.grad @ b.value.T
-    b.grad += a.value.T @ node.grad
+    _accumulate(a, node.grad @ b.value.T)
+    _accumulate(b, a.value.T @ node.grad)
 
 
 def _back_add(node):
-    a, b = node.parents
-    a.grad += _unbroadcast(node.grad, a.value.shape)
-    b.grad += _unbroadcast(node.grad, b.value.shape)
+    for parent in node.parents:
+        _accumulate(parent, _unbroadcast(node.grad, parent.value.shape), node)
 
 
 def _back_mul(node):
     a, b = node.parents
-    a.grad += _unbroadcast(node.grad * b.value, a.value.shape)
-    b.grad += _unbroadcast(node.grad * a.value, b.value.shape)
+    _accumulate(a, _unbroadcast(node.grad * b.value, a.value.shape))
+    _accumulate(b, _unbroadcast(node.grad * a.value, b.value.shape))
 
 
 def _back_scale(node):
     (a,) = node.parents
-    a.grad += node.grad * node.aux
+    _accumulate(a, node.grad * node.aux)
 
 
 def _back_shift(node):
     (a,) = node.parents
-    a.grad += node.grad
+    _accumulate(a, node.grad, node)
 
 
 def _back_relu(node):
     (a,) = node.parents
-    a.grad += node.grad * (a.value > 0.0)
+    _accumulate(a, node.grad * (a.value > 0.0))
 
 
 def _back_sigmoid(node):
     (a,) = node.parents
     s = node.value
-    a.grad += node.grad * s * (1.0 - s)
+    _accumulate(a, node.grad * s * (1.0 - s))
 
 
 def _back_mean(node):
     (a,) = node.parents
-    a.grad += node.grad[0, 0] / a.value.size
+    _accumulate(a, np.full(a.value.shape, node.grad[0, 0] / a.value.size))
 
 
 def _back_weighted_sum(node):
     (a,) = node.parents
-    a.grad += node.grad[0, 0] * node.aux
+    _accumulate(a, node.grad[0, 0] * node.aux)
 
 
 def _back_softmax_rows(node):
@@ -381,21 +410,21 @@ def _back_softmax_rows(node):
     s = node.value
     g = node.grad
     inner = (g * s).sum(axis=1, keepdims=True)
-    a.grad += (g - inner) * s / node.aux
+    _accumulate(a, (g - inner) * s / node.aux)
 
 
 def _back_log_rows(node):
     (a,) = node.parents
     floor = node.aux
-    a.grad += np.where(a.value > floor, node.grad / np.maximum(a.value, floor), 0.0)
+    _accumulate(a, np.where(a.value > floor, node.grad / np.maximum(a.value, floor), 0.0))
 
 
 def _back_outer_rows(node):
     f, p = node.parents
     n = f.value.shape[0]
     g = node.grad.reshape(n, f.value.shape[1], p.value.shape[1])
-    f.grad += np.einsum("nik,nk->ni", g, p.value)
-    p.grad += np.einsum("nik,ni->nk", g, f.value)
+    _accumulate(f, np.einsum("nik,nk->ni", g, p.value))
+    _accumulate(p, np.einsum("nik,ni->nk", g, f.value))
 
 
 def _back_domain_affine(node):
@@ -407,14 +436,14 @@ def _back_domain_affine(node):
         gamma, beta = node.parents[1 + 2 * i], node.parents[2 + 2 * i]
         xhat = (h.value + offset) * inv_std  # recomputed: no (n, d) array kept per branch
         gy = g if mask is None else g * mask
-        beta.grad += _unbroadcast(gy, beta.value.shape)
-        gamma.grad += _unbroadcast(gy * xhat, gamma.value.shape)
-        h.grad += (gy * gamma.value) * inv_std
+        _accumulate(beta, _unbroadcast(gy, beta.value.shape), node)
+        _accumulate(gamma, _unbroadcast(gy * xhat, gamma.value.shape))
+        _accumulate(h, (gy * gamma.value) * inv_std)
 
 
 def _back_gradient_reverse(node):
     (a,) = node.parents
-    a.grad += node.grad * (-node.aux)
+    _accumulate(a, node.grad * (-node.aux))
 
 
 _BACKWARD = {
@@ -438,8 +467,10 @@ _BACKWARD = {
 def backward(tape: Tape, loss: Node):
     """Propagate d(loss)/d(node) into every ``node.grad`` on the tape.
 
-    Nodes without a gradient array get zeros first; a leaf given a ``grad``
-    array accumulates into it as it is.
+    A node's first contribution becomes its gradient array, and a leaf given
+    a ``grad`` array accumulates into it as it is.  Nodes that no
+    contribution reaches get zeros at the end, so every node holds its own
+    gradient array afterwards.
     """
     if loss.tape is not tape:
         raise ShapeMismatchError("loss does not belong to this tape")
@@ -448,13 +479,14 @@ def backward(tape: Tape, loss: Node):
     if tape._backward_done:
         raise DoubleBackwardError("this tape has already been differentiated")
     tape._backward_done = True
+    if loss.grad is None:
+        loss.grad = np.ones((1, 1))
+    else:
+        loss.grad[...] = 1.0
+    for node in reversed(tape.nodes):
+        if node.grad is None or node.op == "leaf":
+            continue
+        _BACKWARD[node.op](node)
     for node in tape.nodes:
         if node.grad is None:
             node.grad = np.zeros(node.value.shape)
-    loss.grad[...] = 1.0
-    for node in reversed(tape.nodes):
-        if node.op == "leaf":
-            continue
-        if not node.grad.any():
-            continue
-        _BACKWARD[node.op](node)

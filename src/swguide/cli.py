@@ -5,6 +5,8 @@ Every command echoes its full effective configuration to stdout before
 any result line, so a printed run is reproducible from its own output.
 Train-style commands accept a flat ``key=value`` config file plus
 per-field flags; flags override file keys, and unknown keys are errors.
+They echo the configuration only after it passes the checks that need no
+data, so a rejected configuration is never printed as if accepted.
 """
 
 from __future__ import annotations
@@ -195,6 +197,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_train(args) -> int:
     config = build_train_config(args)
+    config.validate()
     _echo_config(config)
     result = _train_job(config, args.source, args.target, args.out)
     print("# result")
@@ -250,17 +253,18 @@ def _sweep(args, flag: str, key: str, setting) -> int:
     config = build_train_config(args)
     settings = _parse_list(flag, getattr(args, flag), setting)
     seeds = _parse_list("seeds", args.seeds, int)
-    _echo_config(config)
     tasks = []
     for label, overrides in settings:
         for seed in seeds:
             cfg = replace(config, seed=seed, **overrides)
+            cfg.validate()
             out_dir = (
                 os.path.join(args.out, f"{key}_{label}", f"seed_{seed}")
                 if args.out
                 else None
             )
             tasks.append((label, cfg, args.source, args.target, out_dir))
+    _echo_config(config)
     pairs = _run_sweep(tasks, args.jobs)
     print("# result")
     lines = _sweep_table(pairs, key)

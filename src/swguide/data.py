@@ -8,7 +8,9 @@ means, standing in for an external zero-shot model that is competent on
 both domains.
 
 All file formats are plain comma-separated text.  Floats are written with
-``repr`` so that write → read round-trips bit-exactly.
+``repr`` so that write → read round-trips bit-exactly.  Writers format and
+write one row at a time, and the dataset reader parses each row straight
+into preallocated arrays, so no whole-file list of rows or floats is built.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -394,16 +397,29 @@ def _read_lines(path) -> list[str]:
             raise ParseError(f"not UTF-8 text: {exc.reason}", path) from None
 
 
-def write_dataset(path, dataset: DomainDataset):
-    d_x, k = dataset.feature_dim, dataset.n_classes
-    lines = [f"id,domain,label,f:{d_x},z:{k}"]
-    for i, sid in enumerate(dataset.sample_ids):
-        fields = [sid, dataset.roles[i], str(int(dataset.labels[i]))]
-        fields.extend(_fmt(v) for v in dataset.features[i])
-        fields.extend(_fmt(v) for v in dataset.zeroshot[i])
-        lines.append(",".join(fields))
+def _write_lines(path, lines):
+    """Write each string of the iterable ``lines`` and a newline, as it comes."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
+
+
+def _csv_row(head, *rows: np.ndarray) -> str:
+    """The strings of ``head``, then every float of ``rows`` as ``repr``
+    text, joined by commas."""
+    return ",".join(chain(head, *(map(repr, row.tolist()) for row in rows)))
+
+
+def write_dataset(path, dataset: DomainDataset):
+    rows = zip(
+        dataset.sample_ids, dataset.roles, dataset.labels.tolist(),
+        dataset.features, dataset.zeroshot,
+    )
+    _write_lines(path, chain(
+        [f"id,domain,label,f:{dataset.feature_dim},z:{dataset.n_classes}"],
+        (_csv_row((sid, role, str(label)), x, z) for sid, role, label, x, z in rows),
+    ))
 
 
 def _parse_header_width(token: str, prefix: str, path, line_number: int) -> int:
@@ -418,6 +434,18 @@ def _parse_header_width(token: str, prefix: str, path, line_number: int) -> int:
     return width
 
 
+def _rows_of_width(lines, n_fields: int) -> int:
+    """How many non-empty ``lines`` come before the first one that does not
+    have ``n_fields`` comma-separated fields."""
+    rows = 0
+    for line in lines:
+        if line:
+            if line.count(",") != n_fields - 1:
+                break
+            rows += 1
+    return rows
+
+
 def read_dataset(path) -> DomainDataset:
     lines = _read_lines(path)
     if not lines:
@@ -428,7 +456,14 @@ def read_dataset(path) -> DomainDataset:
     d_x = _parse_header_width(header[3], "f:", path, 1)
     k = _parse_header_width(header[4], "z:", path, 1)
 
-    ids, roles, labels, features, zeroshot = [], [], [], [], []
+    # Arrays are sized by the leading rows whose width has been checked (none
+    # if the first row is too narrow or wide, which the loop then rejects),
+    # so a header that claims a huge width allocates nothing.
+    n = _rows_of_width(lines[1:], 3 + d_x + k)
+    ids, roles = [], []
+    labels = np.empty(n, dtype=np.int64)
+    features = np.empty((n, d_x)) if n else None
+    zeroshot = np.empty((n, k)) if n else None
     for line_number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -439,26 +474,28 @@ def read_dataset(path) -> DomainDataset:
                 path,
                 line_number,
             )
-        ids.append(fields[0])
-        roles.append(fields[1])
+        row = len(ids)
         try:
-            labels.append(int(fields[2]))
-            features.append([float(v) for v in fields[3 : 3 + d_x]])
-            zeroshot.append([float(v) for v in fields[3 + d_x :]])
+            label = int(fields[2])
+            features[row] = [float(v) for v in fields[3 : 3 + d_x]]
+            zeroshot[row] = [float(v) for v in fields[3 + d_x :]]
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {exc}", path, line_number) from None
-        if not -(2**63) <= labels[-1] < 2**63:
+        if not -(2**63) <= label < 2**63:
             raise ParseError(
                 f"label {fields[2]!r} does not fit in int64", path, line_number
             )
+        labels[row] = label
+        ids.append(fields[0])
+        roles.append(fields[1])
     if not ids:
         raise ParseError("dataset file has a header but no rows", path, 1)
     return DomainDataset(
         sample_ids=tuple(ids),
         roles=tuple(roles),
-        labels=np.array(labels, dtype=np.int64),
-        features=np.array(features, dtype=np.float64),
-        zeroshot=np.array(zeroshot, dtype=np.float64),
+        labels=labels,
+        features=features,
+        zeroshot=zeroshot,
     )
 
 
@@ -468,11 +505,10 @@ def write_predictions(path, sample_ids, probs: np.ndarray):
         raise ClassMismatchError(
             f"probs shape {probs.shape} does not match {len(sample_ids)} ids"
         )
-    lines = [f"id,p:{probs.shape[1]}"]
-    for sid, row in zip(sample_ids, probs):
-        lines.append(",".join([sid] + [_fmt(v) for v in row]))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, chain(
+        [f"id,p:{probs.shape[1]}"],
+        (_csv_row((sid,), row) for sid, row in zip(sample_ids, probs)),
+    ))
 
 
 def read_predictions(path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -576,16 +612,19 @@ ARRAY_FILE_MAGIC = "# swguide arrays v1"
 
 
 def write_array_file(path, named_arrays: dict[str, np.ndarray]):
-    lines = [ARRAY_FILE_MAGIC]
-    for name, array in named_arrays.items():
-        array = np.asarray(array, dtype=np.float64)
+    arrays = {name: np.asarray(array, dtype=np.float64) for name, array in named_arrays.items()}
+    for name, array in arrays.items():
         if array.ndim != 2:
             raise ClassMismatchError(f"array {name!r} must be 2-D, got {array.ndim}-D")
-        lines.append(f"array {name} {array.shape[0]} {array.shape[1]}")
-        for row in array:
-            lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+
+    def lines():
+        yield ARRAY_FILE_MAGIC
+        for name, array in arrays.items():
+            yield f"array {name} {array.shape[0]} {array.shape[1]}"
+            for row in array:
+                yield _csv_row((), row)
+
+    _write_lines(path, lines())
 
 
 def read_array_file(path) -> dict[str, np.ndarray]:

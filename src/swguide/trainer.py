@@ -116,6 +116,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ConfigInvalidError(f"{name} must lie in [0, 1], got {value}")
+        if self.seed < 0:
+            raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
         if self.episodes < 1:
             raise ConfigInvalidError(f"episodes must be >= 1, got {self.episodes}")
         if not 2 <= self.batch_size <= MAX_BATCH_SIZE:
@@ -248,14 +250,24 @@ def lambda_at(config: TrainConfig, global_step: int, total_steps: int) -> float:
     return 2.0 / (1.0 + math.exp(-10.0 * progress)) - 1.0
 
 
-def evaluate(params: ModelParams, target: DomainDataset) -> float:
-    """Fraction of target samples whose argmax prediction is correct."""
+def _evaluation_labels(target: DomainDataset) -> np.ndarray:
+    """The target's labels; UnlabeledError unless every sample has one."""
     if len(target) == 0:
         raise UnlabeledError("cannot evaluate on an empty dataset")
     if (target.labels < 0).any():
         raise UnlabeledError("evaluation needs ground-truth labels for every sample")
+    return target.labels
+
+
+def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
+    return float((probs.argmax(axis=1) == labels).mean())
+
+
+def evaluate(params: ModelParams, target: DomainDataset) -> float:
+    """Fraction of target samples whose argmax prediction is correct."""
+    labels = _evaluation_labels(target)
     _, probs = forward(params, target.features, "target")
-    return float((probs.argmax(axis=1) == target.labels).mean())
+    return _accuracy(probs, labels)
 
 
 def predict_target(params: ModelParams, target: DomainDataset) -> np.ndarray:
@@ -385,59 +397,42 @@ def _single_run(
             src_labels = expanded.labels[src_idx]
             tgt_blank = np.full(tgt_half, -1, dtype=np.int64)
             batch_labels = np.concatenate([src_labels, tgt_blank, src_labels, tgt_blank])
+            teacher_rows = None
+            if config.w_kd > 0.0:
+                src_rows, tgt_rows = teacher_src[src_idx], teacher_tgt[tgt_idx]
+                teacher_rows = np.concatenate([src_rows, tgt_rows, src_rows, tgt_rows])
 
             half_labels = np.concatenate([src_adversarial[src_idx], np.zeros(tgt_half)])
             domain_labels = np.concatenate([half_labels, half_labels]).reshape(-1, 1)
 
-            tape = ad.Tape()
-            grad.fill(0.0)
-            nodes = lift(tape, params, grad)
-            x = tape.leaf(batch_x)
-            features, _, probs = forward_on_tape(nodes, params, x, domain_masks)
-
-            terms: list[ad.Node] = []
-            l_ce = l_kd = l_ad = 0.0
-            if config.w_ce > 0.0:
-                ce_node = classification_loss_node(probs, batch_labels, ce_mask)
-                l_ce = float(ce_node.value[0, 0])
-                terms.append(ce_node if config.w_ce == 1.0 else ad.scale(ce_node, config.w_ce))
-            if config.w_kd > 0.0:
-                src_rows, tgt_rows = teacher_src[src_idx], teacher_tgt[tgt_idx]
-                teacher_rows = np.concatenate([src_rows, tgt_rows, src_rows, tgt_rows])
-                kd_node = kd_loss_node(probs, teacher_rows)
-                l_kd = float(kd_node.value[0, 0])
-                terms.append(kd_node if config.w_kd == 1.0 else ad.scale(kd_node, config.w_kd))
-            both_domains = 0.0 < domain_labels.sum() < domain_labels.shape[0]
-            if config.w_ad > 0.0 and both_domains:
-                lam = lambda_at(config, global_step, total_steps)
-                joint = ad.outer_rows(features, probs)
-                d_hat = discriminate_on_tape(nodes, joint, lam)
-                ad_node = adversarial_loss_node(d_hat, domain_labels)
-                l_ad = float(ad_node.value[0, 0])
-                terms.append(ad_node if config.w_ad == 1.0 else ad.scale(ad_node, config.w_ad))
-
-            total = terms[0]
-            for term in terms[1:]:
-                total = ad.add(total, term)
-            ad.backward(tape, total)
-            optimizer.step(grad)
-
+            l_ce, l_kd, l_ad = _train_step(
+                config, params, grad, optimizer, batch_x, batch_labels, ce_mask,
+                domain_masks, teacher_rows, domain_labels,
+                lambda_at(config, global_step, total_steps),
+            )
             step_ce.append(l_ce)
             step_kd.append(l_kd)
             step_ad.append(l_ad)
             global_step += 1
 
+        if episode + 1 < config.episodes:
+            accuracy = evaluate(params, target)
+        else:
+            # The parameters are final: one forward gives both the last
+            # accuracy and the run's predictions.
+            labels = _evaluation_labels(target)
+            probs = predict_target(params, target)
+            accuracy = _accuracy(probs, labels)
         metrics.append(
             EpisodeMetrics(
                 episode=episode_offset + episode,
                 l_ce=float(np.mean(step_ce)),
                 l_kd=float(np.mean(step_kd)),
                 l_ad=float(np.mean(step_ad)),
-                target_accuracy=evaluate(params, target),
+                target_accuracy=accuracy,
             )
         )
 
-    probs = predict_target(params, target)
     return RunResult(
         params=params,
         metrics=metrics,
@@ -449,6 +444,54 @@ def _single_run(
         scheme=config.scheme,
         seed=config.seed,
     )
+
+
+def _train_step(
+    config: TrainConfig,
+    params: ModelParams,
+    grad: np.ndarray,
+    optimizer: Adam,
+    batch_x: np.ndarray,
+    batch_labels: np.ndarray,
+    ce_mask: np.ndarray,
+    domain_masks: dict,
+    teacher_rows: np.ndarray | None,
+    domain_labels: np.ndarray,
+    lam: float,
+) -> tuple[float, float, float]:
+    """One optimizer step on one batch; returns its (ce, kd, adversarial)
+    loss values.  The step's tape lives only in this frame, so it is freed
+    as soon as the step returns."""
+    tape = ad.Tape()
+    grad.fill(0.0)
+    nodes = lift(tape, params, grad)
+    x = tape.leaf(batch_x)
+    features, _, probs = forward_on_tape(nodes, params, x, domain_masks)
+
+    terms: list[ad.Node] = []
+    l_ce = l_kd = l_ad = 0.0
+    if config.w_ce > 0.0:
+        ce_node = classification_loss_node(probs, batch_labels, ce_mask)
+        l_ce = float(ce_node.value[0, 0])
+        terms.append(ce_node if config.w_ce == 1.0 else ad.scale(ce_node, config.w_ce))
+    if config.w_kd > 0.0:
+        kd_node = kd_loss_node(probs, teacher_rows)
+        l_kd = float(kd_node.value[0, 0])
+        terms.append(kd_node if config.w_kd == 1.0 else ad.scale(kd_node, config.w_kd))
+    both_domains = 0.0 < domain_labels.sum() < domain_labels.shape[0]
+    if config.w_ad > 0.0 and both_domains:
+        joint = ad.outer_rows(features, probs)
+        d_hat = discriminate_on_tape(nodes, joint, lam)
+        ad_node = adversarial_loss_node(d_hat, domain_labels)
+        l_ad = float(ad_node.value[0, 0])
+        terms.append(ad_node if config.w_ad == 1.0 else ad.scale(ad_node, config.w_ad))
+
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    ad.backward(tape, total)
+    optimizer.step(grad)
+    return l_ce, l_kd, l_ad
 
 
 def _zeroshot_only(config, source, target) -> RunResult:

@@ -249,6 +249,41 @@ def test_leaf_accumulates_into_the_gradient_array_it_is_given():
         tape.leaf([[1.0, 2.0]], np.zeros((2, 1)))
 
 
+def test_backward_gives_every_node_its_own_gradient_array():
+    buffer = np.full((2, 3), 5.0)
+    tape = ad.Tape()
+    w = tape.leaf(np.arange(6.0).reshape(2, 3), buffer)
+    x = tape.leaf(np.ones((2, 3)))
+    idle = tape.leaf([[1.0, 2.0]])  # reaches no loss
+    dead_end = ad.relu(x)  # neither does this op
+    h = ad.add(x, w)  # pass-through gradient to both parents
+    r = ad.gradient_reverse(h, 0.5)
+    s = ad.shift(r, 1.0)  # pass-through
+    row = tape.leaf([[0.5, -1.0, 2.0]])
+    gamma, beta = tape.leaf([[2.0, 1.0, 0.5]]), tape.leaf([[0.0, 1.0, 0.0]])
+    one = np.ones((1, 3))
+    affine = ad.domain_affine(row, [(None, -one, one, gamma, beta)])  # beta: pass-through
+    loss = ad.add(ad.add(ad.mean(s), ad.mean(w)), ad.weighted_sum(affine, one))
+    ad.backward(tape, loss)
+
+    assert r.value is h.value
+    grads = [node.grad for node in tape.nodes]
+    assert all(
+        isinstance(g, np.ndarray) and g.shape == node.value.shape
+        for g, node in zip(grads, tape.nodes)
+    )
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(idle.grad, np.zeros((1, 2)))
+    np.testing.assert_array_equal(dead_end.grad, np.zeros((2, 3)))
+    # The given buffer accumulated: 5, then 1/6 from mean(w), then h's share.
+    assert w.grad is buffer
+    np.testing.assert_array_equal(buffer, np.full((2, 3), (5.0 + 1 / 6) + (1 / 6) * -0.5))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), (1 / 6) * -0.5))
+    np.testing.assert_array_equal(beta.grad, one)
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checks, every op, many seeds
 # ---------------------------------------------------------------------------

@@ -245,6 +245,24 @@ def test_train_rejects_invalid_config_value(bench, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("train", ()), ("sweep-expansion", ("--fractions", "0.5")),
+     ("sweep-tau", ("--taus", "0.9"))],
+    ids=["train", "sweep-expansion", "sweep-tau"],
+)
+def test_an_invalid_config_exits_2_before_its_config_is_echoed(
+    bench, capsys, command, extra
+):
+    source, target = bench
+    code = main([command, "--source", source, "--target", target,
+                 "--batch-size", "100000000", *extra])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "batch_size" in err
+    assert "# config" not in out
+
+
 def test_train_v2_persists_first_run_predictions(bench, tmp_path):
     source, target = bench
     out_dir = tmp_path / "v2"
@@ -387,6 +405,22 @@ def test_eval_of_a_dataset_wider_than_the_checkpoint_exits_2(
     assert code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "matmul inner dims differ" in err
+
+
+@pytest.mark.parametrize("width", ["999999999999", "1" + "0" * 30])
+def test_eval_of_a_dataset_claiming_a_huge_width_exits_2_naming_the_line(
+    checkpoint, tmp_path, capsys, width
+):
+    path = tmp_path / "checkpoint.txt"
+    write_array_file(path, checkpoint)
+    dataset = tmp_path / "huge.txt"
+    dataset.write_text(f"id,domain,label,f:{width},z:3\nt0,target,0,1.0\n")
+    code = main(["eval", "--checkpoint", str(path), "--dataset", str(dataset)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    implied = int(width) + 6
+    assert out == "" and err.startswith("error:")
+    assert f"row has 4 fields, header implies {implied}" in err and "(line 2)" in err
 
 
 def test_train_missing_dataset_file_is_a_clean_error(tmp_path, capsys):

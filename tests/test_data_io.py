@@ -470,6 +470,56 @@ def test_array_file_rejects_negative_or_oversized_dims(tmp_path, dims):
 
 
 # ---------------------------------------------------------------------------
+# Writers: the bytes of the whole-file rendering
+# ---------------------------------------------------------------------------
+
+_AWKWARD = [-0.0, 5e-324, 1e22, 0.1 + 0.2, 1 / 3]
+
+
+def _joined(lines):
+    """The whole-file rendering the writers must reproduce byte for byte."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _cells(row):
+    return [repr(float(v)) for v in row]
+
+
+def test_writers_match_the_whole_file_rendering_on_awkward_floats(tmp_path):
+    values = np.array([_AWKWARD, _AWKWARD[::-1], [-v for v in _AWKWARD]])
+    ids, roles, labels = ("a", "b", "c"), ("source", "target", "pseudo_source"), [2, -1, 0]
+    dataset = DomainDataset(
+        sample_ids=ids, roles=roles, labels=labels,
+        features=values[:, :3], zeroshot=values[:, 3:],
+    )
+    write_dataset(tmp_path / "d.txt", dataset)
+    assert (tmp_path / "d.txt").read_bytes() == _joined(
+        ["id,domain,label,f:3,z:2"]
+        + [",".join([i, r, str(y)] + _cells(row)) for i, r, y, row in zip(ids, roles, labels, values)]
+    )
+
+    write_predictions(tmp_path / "p.txt", ids, values)
+    assert (tmp_path / "p.txt").read_bytes() == _joined(
+        ["id,p:5"] + [",".join([i] + _cells(row)) for i, row in zip(ids, values)]
+    )
+
+    arrays = {"w": values, "row": values[:1, ::2], "empty": np.zeros((2, 0))}
+    write_array_file(tmp_path / "a.txt", arrays)
+    lines = ["# swguide arrays v1"]
+    for name, array in arrays.items():
+        lines.append(f"array {name} {array.shape[0]} {array.shape[1]}")
+        lines.extend(",".join(_cells(row)) for row in array)
+    assert (tmp_path / "a.txt").read_bytes() == _joined(lines)
+
+
+def test_write_array_file_checks_every_array_before_creating_the_file(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    with pytest.raises(ClassMismatchError):
+        write_array_file(path, {"ok": np.zeros((1, 2)), "flat": np.zeros(3)})
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
 # Every reader on arbitrary input
 # ---------------------------------------------------------------------------
 

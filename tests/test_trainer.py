@@ -4,6 +4,7 @@ schedules, scheme dispatch, and run determinism."""
 import dataclasses
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -90,6 +91,7 @@ def small_config(**overrides):
         dict(augment_noise=float("inf")),
         dict(w_kd=float("nan")),
         dict(v2_fraction_second=float("nan")),
+        dict(seed=-1),
     ],
 )
 def test_config_validation_rejects_bad_values(overrides):
@@ -424,6 +426,36 @@ def test_finished_tapes_are_freed_without_the_garbage_collector():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_no_step_tape_is_alive_when_the_run_evaluates_or_predicts(monkeypatch):
+    import swguide.trainer as trainer
+
+    tapes = []
+    init = ad.Tape.__init__
+
+    def tracked_init(self):
+        init(self)
+        tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(ad.Tape, "__init__", tracked_init)
+    entered = []
+    for name in ("evaluate", "predict_target"):
+        def entry(*args, _name=name, _original=getattr(trainer, name)):
+            entered.append((_name, sum(ref() is not None for ref in tapes)))
+            return _original(*args)
+
+        monkeypatch.setattr(trainer, name, entry)
+    source, target = small_benchmark()
+    gc.collect()
+    gc.disable()  # tapes must go by reference counting alone
+    try:
+        run(small_config(scheme="v1", episodes=2), source, target)
+    finally:
+        gc.enable()
+    assert len(tapes) > 2
+    assert {name for name, _ in entered} == {"evaluate", "predict_target"}
+    assert [alive for _, alive in entered] == [0] * len(entered)
 
 
 def test_trained_params_are_views_of_one_flat_buffer():

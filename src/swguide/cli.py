@@ -23,6 +23,7 @@ from .calibration import LogitMatrix, solve_temperature
 from .data import (
     SyntheticSpec,
     _read_lines,
+    _write_lines,
     make_benchmark,
     read_array_file,
     read_dataset,
@@ -110,8 +111,7 @@ def summary_line(result: RunResult) -> str:
 
 def write_run_artifacts(out_dir, config: TrainConfig, result: RunResult):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(config_to_lines(config)) + "\n")
+    _write_lines(os.path.join(out_dir, "config.txt"), config_to_lines(config))
     write_metrics(os.path.join(out_dir, "metrics.txt"), result.metrics)
     write_array_file(
         os.path.join(out_dir, "checkpoint.txt"), result.params.named_arrays()
@@ -127,8 +127,7 @@ def write_run_artifacts(out_dir, config: TrainConfig, result: RunResult):
             result.first_run.prediction_ids,
             result.first_run.prediction_probs,
         )
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as handle:
-        handle.write(summary_line(result) + "\n")
+    _write_lines(os.path.join(out_dir, "summary.txt"), [summary_line(result)])
 
 
 def _train_job(config: TrainConfig, source_path, target_path, out_dir) -> RunResult:
@@ -272,8 +271,7 @@ def _sweep(args, flag: str, key: str, setting) -> int:
         print(line)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "table.txt"), "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_lines(os.path.join(args.out, "table.txt"), lines)
     return 0
 
 

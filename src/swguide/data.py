@@ -568,14 +568,11 @@ _METRIC_KEYS = ("episode", "l_ce", "l_kd", "l_ad", "target_accuracy")
 
 
 def write_metrics(path, records):
-    lines = []
-    for rec in records:
-        lines.append(
-            f"episode={rec.episode} l_ce={_fmt(rec.l_ce)} l_kd={_fmt(rec.l_kd)} "
-            f"l_ad={_fmt(rec.l_ad)} target_accuracy={_fmt(rec.target_accuracy)}"
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n" if lines else "")
+    _write_lines(path, (
+        f"episode={rec.episode} l_ce={_fmt(rec.l_ce)} l_kd={_fmt(rec.l_kd)} "
+        f"l_ad={_fmt(rec.l_ad)} target_accuracy={_fmt(rec.target_accuracy)}"
+        for rec in records
+    ))
 
 
 def read_metrics(path) -> list[EpisodeMetrics]:

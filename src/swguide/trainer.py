@@ -266,8 +266,7 @@ def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
 def evaluate(params: ModelParams, target: DomainDataset) -> float:
     """Fraction of target samples whose argmax prediction is correct."""
     labels = _evaluation_labels(target)
-    _, probs = forward(params, target.features, "target")
-    return _accuracy(probs, labels)
+    return _accuracy(predict_target(params, target), labels)
 
 
 def predict_target(params: ModelParams, target: DomainDataset) -> np.ndarray:
@@ -373,6 +372,7 @@ def _single_run(
     source_rows = ce_mask.astype(np.float64).reshape(-1, 1)
     domain_masks = {"source": source_rows, "target": 1.0 - source_rows}
 
+    labels = _evaluation_labels(target)
     metrics: list[EpisodeMetrics] = []
     for episode in range(config.episodes):
         step_ce, step_kd, step_ad = [], [], []
@@ -415,14 +415,9 @@ def _single_run(
             step_ad.append(l_ad)
             global_step += 1
 
-        if episode + 1 < config.episodes:
-            accuracy = evaluate(params, target)
-        else:
-            # The parameters are final: one forward gives both the last
-            # accuracy and the run's predictions.
-            labels = _evaluation_labels(target)
-            probs = predict_target(params, target)
-            accuracy = _accuracy(probs, labels)
+        # The last episode's probabilities are the run's predictions.
+        probs = predict_target(params, target)
+        accuracy = _accuracy(probs, labels)
         metrics.append(
             EpisodeMetrics(
                 episode=episode_offset + episode,

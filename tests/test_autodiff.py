@@ -284,6 +284,27 @@ def test_backward_gives_every_node_its_own_gradient_array():
     np.testing.assert_array_equal(beta.grad, one)
 
 
+def test_backward_allocates_a_gradient_only_once_a_contribution_reaches_it(monkeypatch):
+    tape = ad.Tape()
+    w = tape.leaf(np.arange(6.0).reshape(2, 3), np.zeros((2, 3)))
+    x = tape.leaf(np.ones((2, 3)))
+    idle = ad.relu(x)  # reaches no loss
+    h = ad.relu(ad.add(x, w))
+    loss = ad.add(ad.mean(h), ad.mean(ad.sigmoid(h)))
+    reached = {id(w), id(loss)}  # the given buffer and the seed
+    for op, step in list(ad._BACKWARD.items()):
+        def checked(node, _step=step):
+            holding = {id(n) for n in tape.nodes if n.grad is not None}
+            assert holding <= reached, "a node holds a gradient before any reached it"
+            _step(node)
+            reached.update(id(parent) for parent in node.parents)
+
+        monkeypatch.setitem(ad._BACKWARD, op, checked)
+    ad.backward(tape, loss)
+    assert len(reached) < len(tape.nodes)
+    np.testing.assert_array_equal(idle.grad, np.zeros((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checks, every op, many seeds
 # ---------------------------------------------------------------------------

@@ -8,17 +8,14 @@ figures.  A change may tighten these bounds but never loosen them.
 
 import tracemalloc
 
-import numpy as np
-
 from swguide import trainer
-from swguide.data import SyntheticSpec, make_benchmark, read_dataset, rng_for, write_dataset
-from swguide.model import init_params, pack_trainable
+from swguide.data import SyntheticSpec, make_benchmark, read_dataset, write_dataset
 
 MB = 1e6
-# Measured peaks (Python 3.11, NumPy 2.4): read 5.58, write 0.056, step 21.68.
+# Measured peaks (Python 3.11, NumPy 2.4): read 5.58, write 0.056, run 24.18.
 READ_PAIR_PEAK_MB = 7.0
 WRITE_PEAK_MB = 0.07
-STEP_PEAK_MB = 27.1
+RUN_PEAK_MB = 30.2
 
 
 def _peak_mb(fn, *args) -> float:
@@ -42,31 +39,13 @@ def test_writing_and_reading_a_4000_row_pair_stay_under_their_peaks(tmp_path):
     assert peak <= READ_PAIR_PEAK_MB, f"peak {peak:.2f} MB"
 
 
-def _step_inputs(batch_size=512, d_x=20, k=5, hidden=64):
-    """The arguments of one training step: a fresh model and a batch laid out
-    as the trainer lays it out ([source, target] twice)."""
-    rng = rng_for(0, "test", "memory-step")
-    config = trainer.TrainConfig(batch_size=batch_size, hidden_dim=hidden, disc_hidden=hidden)
-    flat, params = pack_trainable(init_params(rng, d_x, k, hidden_dim=hidden, disc_hidden=hidden))
-    optimizer = trainer.Adam(flat, np.full(flat.size, 1e-3))
-    half = batch_size // 2
-    source_rows = np.array(([1.0] * half + [0.0] * half) * 2).reshape(-1, 1)
-    ce_mask = source_rows[:, 0] == 1.0
-    n = len(ce_mask)
-    return (
-        config, params, np.zeros_like(flat), optimizer,
-        rng.standard_normal((n, d_x)),
-        np.where(ce_mask, rng.integers(0, k, n), -1),
-        ce_mask,
-        {"source": source_rows, "target": 1.0 - source_rows},
-        rng.dirichlet(np.ones(k), n),
-        source_rows.copy(),
-        1.0,
+def test_a_batch_512_run_stays_under_its_peak():
+    """The peak across every step of a run and its episode-end forward.  It
+    stays low only while each step's tape is gone before that forward."""
+    source, target = make_benchmark(SyntheticSpec.standard(seed=0, per_class=200))
+    config = trainer.TrainConfig(
+        scheme="v1", episodes=1, batch_size=512, hidden_dim=64, disc_hidden=64, seed=0
     )
-
-
-def test_one_batch_512_step_stays_under_its_peak():
-    inputs = _step_inputs()
-    trainer._train_step(*inputs)  # warm-up: first-call allocations are not the step's
-    peak = _peak_mb(trainer._train_step, *inputs)
-    assert peak <= STEP_PEAK_MB, f"peak {peak:.2f} MB"
+    trainer.run(config, source, target)  # warm-up: first-call allocations are not the run's
+    peak = _peak_mb(trainer.run, config, source, target)
+    assert peak <= RUN_PEAK_MB, f"peak {peak:.2f} MB"

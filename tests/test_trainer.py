@@ -428,7 +428,7 @@ def test_finished_tapes_are_freed_without_the_garbage_collector():
     assert unreachable == 0
 
 
-def test_no_step_tape_is_alive_when_the_run_evaluates_or_predicts(monkeypatch):
+def test_no_step_tape_is_alive_when_the_run_predicts(monkeypatch):
     import swguide.trainer as trainer
 
     tapes = []
@@ -440,12 +440,13 @@ def test_no_step_tape_is_alive_when_the_run_evaluates_or_predicts(monkeypatch):
 
     monkeypatch.setattr(ad.Tape, "__init__", tracked_init)
     entered = []
-    for name in ("evaluate", "predict_target"):
-        def entry(*args, _name=name, _original=getattr(trainer, name)):
-            entered.append((_name, sum(ref() is not None for ref in tapes)))
-            return _original(*args)
+    predict = trainer.predict_target
 
-        monkeypatch.setattr(trainer, name, entry)
+    def entry(*args):
+        entered.append(sum(ref() is not None for ref in tapes))
+        return predict(*args)
+
+    monkeypatch.setattr(trainer, "predict_target", entry)
     source, target = small_benchmark()
     gc.collect()
     gc.disable()  # tapes must go by reference counting alone
@@ -454,8 +455,7 @@ def test_no_step_tape_is_alive_when_the_run_evaluates_or_predicts(monkeypatch):
     finally:
         gc.enable()
     assert len(tapes) > 2
-    assert {name for name, _ in entered} == {"evaluate", "predict_target"}
-    assert [alive for _, alive in entered] == [0] * len(entered)
+    assert entered == [0, 0]  # one prediction per episode, no tape alive
 
 
 def test_trained_params_are_views_of_one_flat_buffer():

@@ -114,12 +114,27 @@ class Tape:
 
     def _record(self, value, op, parents, aux=None, grad=None, checked=False) -> Node:
         """Append a node for ``value``; ``checked`` skips the finiteness
-        check for a value already checked when another node recorded it."""
-        if not checked and not np.isfinite(value).all():
-            raise NonFiniteError(f"op {op!r} produced a non-finite value")
+        check for a value that was already checked."""
+        if not checked:
+            _check_finite(value, op)
         node = Node(self._ref, value, op, parents, aux, grad)
         self.nodes.append(node)
         return node
+
+
+def _check_finite(value: np.ndarray, op: str):
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"op {op!r} produced a non-finite value")
+
+
+def _relu_in_place(value: np.ndarray, op: str) -> np.ndarray:
+    """Check ``value`` is finite, then relu it in place; returns the
+    ``value > 0`` mask the backward pass multiplies by.  A relu keeps a value
+    finite, so this one check stands for both the op's and the relu's."""
+    _check_finite(value, op)
+    keep = value > 0.0
+    np.maximum(value, 0.0, out=value)
+    return keep
 
 
 def _check_same_tape(*nodes):
@@ -166,6 +181,24 @@ def add(a: Node, b: Node) -> Node:
             f"add shapes not broadcastable: {a.value.shape} vs {b.value.shape}"
         )
     return tape._record(a.value + b.value, "add", (a, b))
+
+
+def linear(h: Node, weight: Node, bias: Node, relu: bool = False) -> Node:
+    """``h @ weight + bias`` as one node, with ``relu`` also the relu of it:
+    the IEEE ops of ``add(matmul(h, weight), bias)`` (and ``relu`` of that),
+    with no node or array for the product alone.  ``bias`` is a (1, m) row.
+    With ``relu`` only a bool mask of the positive entries is kept beside
+    the value."""
+    tape = _check_same_tape(h, weight, bias)
+    if h.value.shape[1] != weight.value.shape[0] or bias.value.shape != (1, weight.value.shape[1]):
+        raise ShapeMismatchError(
+            f"linear shapes do not fit: {h.value.shape} @ {weight.value.shape} "
+            f"+ {bias.value.shape}"
+        )
+    out = h.value @ weight.value
+    out += bias.value
+    keep = _relu_in_place(out, "linear") if relu else None
+    return tape._record(out, "linear", (h, weight, bias), aux=keep, checked=relu)
 
 
 def mul(a: Node, b: Node) -> Node:
@@ -282,14 +315,17 @@ def outer_rows(f: Node, p: Node) -> Node:
     return tape._record(np.ascontiguousarray(out), "outer_rows", (f, p))
 
 
-def norm_affine(h: np.ndarray, offset, inv_std, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """``((h + offset) * inv_std) * gamma + beta`` as a new array, op for op,
-    for (n, d) ``h`` and (1, d) rows: the one copy of the norm arithmetic,
-    called by each :func:`domain_affine` branch and by tape-free inference."""
+def norm_affine(
+    h: np.ndarray, offset, inv_std, gamma: np.ndarray, beta: np.ndarray, out=None
+) -> np.ndarray:
+    """``((h + offset) * inv_std) * gamma + beta``, op for op, for (n, d) ``h``
+    and (1, d) rows, as a new array or into ``out`` (which may be ``h``): the
+    one copy of the norm arithmetic, called by each :func:`domain_affine`
+    branch and by tape-free inference."""
     for row in (offset, inv_std, gamma, beta):
         if row.shape != (1, h.shape[1]):
             raise ShapeMismatchError(f"norm row shape {row.shape} != {(1, h.shape[1])}")
-    y = h + offset
+    y = np.add(h, offset, out=out)
     y *= inv_std
     y *= gamma
     y += beta
@@ -297,7 +333,8 @@ def norm_affine(h: np.ndarray, offset, inv_std, gamma: np.ndarray, beta: np.ndar
 
 
 def domain_affine(h: Node, branches) -> Node:
-    """Per-domain normalization with learnable affine, blended by row masks.
+    """Per-domain normalization with learnable affine, blended by row masks,
+    then relu.
 
     Each branch is ``(mask, offset, inv_std, gamma, beta)``: ``offset`` and
     ``inv_std`` are constant rows (minus the running mean, one over the
@@ -306,7 +343,8 @@ def domain_affine(h: Node, branches) -> Node:
     for a branch that covers every row.  The value is the sum, in branch
     order, of ``norm_affine(h, offset, inv_std, gamma, beta) * mask``: every
     branch is computed over the whole batch, with the same arithmetic as the
-    ``shift``/``scale``/``mul``/``add`` composition it replaces.
+    ``shift``/``scale``/``mul``/``add`` composition it replaces.  The relu is
+    applied in place, as in :func:`linear`.
     """
     parents = [h]
     kept = []
@@ -326,7 +364,8 @@ def domain_affine(h: Node, branches) -> Node:
     if out is None:
         raise ShapeMismatchError("domain_affine needs at least one branch")
     tape = _check_same_tape(*parents)
-    return tape._record(out, "domain_affine", tuple(parents), aux=kept)
+    keep = _relu_in_place(out, "domain_affine")
+    return tape._record(out, "domain_affine", tuple(parents), aux=(keep, kept), checked=True)
 
 
 def gradient_reverse(a: Node, lam: float) -> Node:
@@ -366,6 +405,14 @@ def _back_matmul(node):
 def _back_add(node):
     for parent in node.parents:
         _accumulate(parent, _unbroadcast(node.grad, parent.value.shape), node)
+
+
+def _back_linear(node):
+    h, weight, bias = node.parents
+    g = node.grad if node.aux is None else node.grad * node.aux
+    _accumulate(bias, _unbroadcast(g, bias.value.shape), node)
+    _accumulate(h, g @ weight.value.T)
+    _accumulate(weight, h.value.T @ g)
 
 
 def _back_mul(node):
@@ -429,10 +476,11 @@ def _back_outer_rows(node):
 
 def _back_domain_affine(node):
     h = node.parents[0]
-    g = node.grad
+    keep, branches = node.aux
+    g = node.grad * keep
     # Last branch first, as the reversed walk over the unfused ops visited them.
-    for i in range(len(node.aux) - 1, -1, -1):
-        mask, offset, inv_std = node.aux[i]
+    for i in range(len(branches) - 1, -1, -1):
+        mask, offset, inv_std = branches[i]
         gamma, beta = node.parents[1 + 2 * i], node.parents[2 + 2 * i]
         xhat = (h.value + offset) * inv_std  # recomputed: no (n, d) array kept per branch
         gy = g if mask is None else g * mask
@@ -449,6 +497,7 @@ def _back_gradient_reverse(node):
 _BACKWARD = {
     "matmul": _back_matmul,
     "add": _back_add,
+    "linear": _back_linear,
     "mul": _back_mul,
     "scale": _back_scale,
     "shift": _back_shift,

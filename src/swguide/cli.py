@@ -213,7 +213,9 @@ def _run_one(task) -> tuple[str, float]:
 def _run_sweep(tasks, jobs: int) -> list[tuple[str, float]]:
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_run_one, tasks)
+            # One task at a time: tasks differ in length, and the default
+            # chunks of two leave one worker idle while the other finishes.
+            return pool.map(_run_one, tasks, chunksize=1)
     return [_run_one(task) for task in tasks]
 
 

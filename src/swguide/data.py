@@ -9,8 +9,9 @@ both domains.
 
 All file formats are plain comma-separated text.  Floats are written with
 ``repr`` so that write → read round-trips bit-exactly.  Writers format and
-write one row at a time, and the dataset reader parses each row straight
-into preallocated arrays, so no whole-file list of rows or floats is built.
+write one row at a time, and the dataset reader streams the file, parsing
+each row straight into preallocated arrays, so no whole-file text, list of
+rows or list of floats is built.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -388,13 +390,21 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _text_lines(handle, path):
+    """The lines of the open UTF-8 text file ``handle``, one at a time, split
+    as ``str.splitlines`` splits the whole text; ParseError naming the file
+    for bytes that are not UTF-8."""
+    try:
+        for physical in handle:
+            yield from physical.splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", path) from None
+
+
 def _read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file; ParseError naming the file if it is not."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return handle.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc.reason}", path) from None
+        return list(_text_lines(handle, path))
 
 
 def _write_lines(path, lines):
@@ -446,48 +456,69 @@ def _rows_of_width(lines, n_fields: int) -> int:
     return rows
 
 
-def read_dataset(path) -> DomainDataset:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty dataset file", path, 1)
-    header = lines[0].split(",")
+def _dataset_widths(line: str, path) -> tuple[int, int]:
+    """(d_x, k) from a dataset file's header line."""
+    header = line.split(",")
     if len(header) != 5 or header[0] != "id" or header[1] != "domain" or header[2] != "label":
-        raise ParseError(f"bad dataset header {lines[0]!r}", path, 1)
-    d_x = _parse_header_width(header[3], "f:", path, 1)
-    k = _parse_header_width(header[4], "z:", path, 1)
+        raise ParseError(f"bad dataset header {line!r}", path, 1)
+    return (
+        _parse_header_width(header[3], "f:", path, 1),
+        _parse_header_width(header[4], "z:", path, 1),
+    )
 
-    # Arrays are sized by the leading rows whose width has been checked (none
-    # if the first row is too narrow or wide, which the loop then rejects),
-    # so a header that claims a huge width allocates nothing.
-    n = _rows_of_width(lines[1:], 3 + d_x + k)
-    ids, roles = [], []
-    labels = np.empty(n, dtype=np.int64)
-    features = np.empty((n, d_x)) if n else None
-    zeroshot = np.empty((n, k)) if n else None
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3 + d_x + k:
-            raise WidthMismatchError(
-                f"row has {len(fields)} fields, header implies {3 + d_x + k}",
-                path,
-                line_number,
-            )
-        row = len(ids)
+
+def read_dataset(path) -> DomainDataset:
+    """Read a dataset file in two passes over its lines, holding neither its
+    text nor a list of its lines.  The first pass decodes the whole file, so
+    bytes that are not UTF-8 are reported before any other fault wherever
+    they are, and counts the leading rows that have the header's width; the
+    second parses those rows into arrays sized for them."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = _text_lines(handle, path)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError("empty dataset file", path, 1)
         try:
-            label = int(fields[2])
-            features[row] = [float(v) for v in fields[3 : 3 + d_x]]
-            zeroshot[row] = [float(v) for v in fields[3 + d_x :]]
-        except ValueError as exc:
-            raise ParseError(f"bad numeric field: {exc}", path, line_number) from None
-        if not -(2**63) <= label < 2**63:
-            raise ParseError(
-                f"label {fields[2]!r} does not fit in int64", path, line_number
-            )
-        labels[row] = label
-        ids.append(fields[0])
-        roles.append(fields[1])
+            d_x, k = _dataset_widths(first, path)
+        except ParseError:
+            deque(lines, maxlen=0)  # decode the rest: bytes that are not UTF-8 come first
+            raise
+        # Arrays are sized by the leading rows whose width has been checked (none
+        # if the first row is too narrow or wide, which the loop then rejects),
+        # so a header that claims a huge width allocates nothing.
+        n = _rows_of_width(lines, 3 + d_x + k)
+        deque(lines, maxlen=0)
+        ids, roles = [], []
+        labels = np.empty(n, dtype=np.int64)
+        features = np.empty((n, d_x)) if n else None
+        zeroshot = np.empty((n, k)) if n else None
+        handle.seek(0)
+        lines = _text_lines(handle, path)
+        next(lines)
+        for line_number, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 3 + d_x + k:
+                raise WidthMismatchError(
+                    f"row has {len(fields)} fields, header implies {3 + d_x + k}",
+                    path,
+                    line_number,
+                )
+            row = len(ids)
+            try:
+                label = int(fields[2])
+                features[row] = [float(v) for v in fields[3 : 3 + d_x]]
+                zeroshot[row] = [float(v) for v in fields[3 + d_x :]]
+            except ValueError as exc:
+                raise ParseError(f"bad numeric field: {exc}", path, line_number) from None
+            if not -(2**63) <= label < 2**63:
+                raise ParseError(
+                    f"label {fields[2]!r} does not fit in int64", path, line_number
+                )
+            labels[row] = label
+            ids.append(fields[0])
+            roles.append(fields[1])
     if not ids:
         raise ParseError("dataset file has a header but no rows", path, 1)
     return DomainDataset(

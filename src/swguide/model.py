@@ -27,6 +27,7 @@ from .errors import (
 )
 
 NORM_DOMAINS = ("source", "target")
+INFER_BLOCK_ROWS = 4096  # rows per block of an in-place inference matmul
 
 
 @dataclass(frozen=True)
@@ -315,12 +316,13 @@ def forward_on_tape(nodes: ParamNodes, params: ModelParams, x: ad.Node, masks):
     ``params`` supplies the constant running statistics; ``nodes`` the
     trainable leaves.  ``masks`` maps each domain in the batch, in
     ``NORM_DOMAINS`` order, to a 0/1 column selecting its rows (None: every
-    row).  Each norm layer is one ``domain_affine`` node that blends the
-    domains' branches with the masks, so one tape serves mixed batches.
+    row).  Each dense layer is one ``linear`` node, and each norm layer one
+    ``domain_affine`` node, relu included, that blends the domains' branches
+    with the masks, so one tape serves mixed batches.
     """
     h = x
     for layer, (weight, bias) in enumerate(nodes.extractor):
-        h = ad.add(ad.matmul(h, weight), bias)
+        h = ad.linear(h, weight, bias)
         branches = []
         for domain, mask in masks.items():
             state = params.norm_states[layer][domain]
@@ -328,8 +330,8 @@ def forward_on_tape(nodes: ParamNodes, params: ModelParams, x: ad.Node, masks):
             branches.append(
                 (mask, -state.running_mean, 1.0 / np.sqrt(state.running_var), gamma, beta)
             )
-        h = ad.relu(ad.domain_affine(h, branches))
-    logits = ad.add(ad.matmul(h, nodes.classifier[0]), nodes.classifier[1])
+        h = ad.domain_affine(h, branches)
+    logits = ad.linear(h, *nodes.classifier)
     return h, logits, ad.softmax_rows(logits, 1.0)
 
 
@@ -337,9 +339,8 @@ def discriminate_on_tape(nodes: ParamNodes, joint: ad.Node, lam: float) -> ad.No
     """Domain probability per row: reversal → hidden relu layers → sigmoid."""
     h = ad.gradient_reverse(joint, lam)
     for weight, bias in nodes.discriminator[:-1]:
-        h = ad.relu(ad.add(ad.matmul(h, weight), bias))
-    weight, bias = nodes.discriminator[-1]
-    return ad.sigmoid(ad.add(ad.matmul(h, weight), bias))
+        h = ad.linear(h, weight, bias, relu=True)
+    return ad.sigmoid(ad.linear(h, *nodes.discriminator[-1]))
 
 
 def _finite(array: np.ndarray, what: str) -> np.ndarray:
@@ -348,12 +349,35 @@ def _finite(array: np.ndarray, what: str) -> np.ndarray:
     return array
 
 
-def _dense(h: np.ndarray, weight: np.ndarray, bias: np.ndarray, what: str) -> np.ndarray:
+def _row_blocks(n: int):
+    """Slices of ``INFER_BLOCK_ROWS`` rows covering ``range(n)``; the last may
+    be shorter, or one row longer: a one-row tail joins the block before it,
+    because NumPy computes a one-row product with gemv, whose last bits
+    differ from the gemm of a whole-array ``@``."""
+    start = 0
+    while start < n:
+        stop = start + INFER_BLOCK_ROWS
+        if stop >= n - 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
+
+
+def _dense(h: np.ndarray, weight: np.ndarray, bias: np.ndarray, what: str,
+           in_place: bool = False) -> np.ndarray:
+    """``h @ weight + bias``.  With ``in_place`` and a square ``weight`` the
+    result overwrites ``h``, one row block at a time; each block's product is
+    bit-equal to the same rows of a whole-array ``@``."""
     if h.shape[1] != weight.shape[0] or bias.shape != (1, weight.shape[1]):
         raise ShapeMismatchError(
             f"{what}: matmul inner dims differ: {h.shape} @ {weight.shape} + {bias.shape}"
         )
-    out = h @ weight
+    if in_place and weight.shape[0] == weight.shape[1]:
+        for rows in _row_blocks(h.shape[0]):
+            h[rows] = h[rows] @ weight
+        out = h
+    else:
+        out = h @ weight
     out += bias
     return _finite(out, what)
 
@@ -363,20 +387,24 @@ def extract(params: ModelParams, x, domain: str, observe) -> np.ndarray:
 
     Each layer is ``h @ W + b``, :func:`autodiff.norm_affine`, relu: the
     arithmetic of :func:`forward_on_tape` with ``{domain: None}``, op for op.
-    ``observe`` sees each norm layer's input, which is then dropped.  A
-    non-finite input or layer output raises ``NonFiniteError``.
+    The first layer writes a fresh (n, width) buffer, and every later step
+    works in it in place (a layer whose weight is not square allocates a new
+    one), so ``x`` is never written.  ``observe`` sees each norm layer's
+    input before the norm overwrites it.  A non-finite input or layer output
+    raises ``NonFiniteError``.
     """
     if domain not in NORM_DOMAINS:
         raise UnknownDomainTagError(f"unknown domain tag {domain!r}")
     h = _finite(ad.as_matrix(x), "input")
     for layer, (weight, bias) in enumerate(params.extractor):
-        h = _dense(h, weight, bias, f"layer {layer}")
+        h = _dense(h, weight, bias, f"layer {layer}", in_place=layer > 0)
         observe(h)
         state = params.norm_states[layer][domain]
-        h = ad.norm_affine(
-            h, -state.running_mean, 1.0 / np.sqrt(state.running_var), state.gamma, state.beta
+        ad.norm_affine(
+            h, -state.running_mean, 1.0 / np.sqrt(state.running_var), state.gamma, state.beta,
+            out=h,
         )
-        h = np.maximum(_finite(h, f"norm {layer}"), 0.0, out=h)  # relu keeps h finite
+        np.maximum(_finite(h, f"norm {layer}"), 0.0, out=h)  # relu keeps h finite
     return h
 
 

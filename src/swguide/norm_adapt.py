@@ -21,6 +21,7 @@ from .errors import EmptyDomainError, NonPositiveVarianceError
 from .model import ModelParams, NormLayerState, extract
 
 VAR_FLOOR = 1e-5
+VAR_BLOCK_COLUMNS = 16  # about this many columns per variance block
 
 
 def estimate_stats(
@@ -30,15 +31,30 @@ def estimate_stats(
 
     One :func:`~swguide.model.extract` pass over ``dataset``, every sample
     normalized with ``domain``'s current (pretrained) statistics.
-    Variances are population (biased) and floored at ``VAR_FLOOR``.
+    Variances are population (biased) and floored at ``VAR_FLOOR``.  They
+    follow ``np.var``'s arithmetic (the mean, then the sum of squared
+    deviations over n) one column block at a time, so the deviation
+    temporary is one block wide, and they are bit-equal to
+    ``h.var(axis=0)``: NumPy sums a contiguous column pairwise but a wider
+    block row by row, and ``np.array_split`` makes no block one column wide
+    unless the layer is.
     """
     if len(dataset) == 0:
         raise EmptyDomainError("cannot estimate statistics from an empty dataset")
     stats = []
 
     def observe(h):
-        var = np.maximum(h.var(axis=0, keepdims=True), VAR_FLOOR)
-        stats.append((h.mean(axis=0, keepdims=True), var))
+        mean = h.mean(axis=0, keepdims=True)
+        parts = -(-h.shape[1] // VAR_BLOCK_COLUMNS)
+        sums = []
+        for block, block_mean in zip(
+            np.array_split(h, parts, axis=1), np.array_split(mean, parts, axis=1)
+        ):
+            deviation = block - block_mean
+            deviation *= deviation
+            sums.append(deviation.sum(axis=0))
+        var = np.concatenate(sums).reshape(1, -1) / h.shape[0]
+        stats.append((mean, np.maximum(var, VAR_FLOOR)))
 
     extract(params, dataset.features, domain, observe)
     return stats

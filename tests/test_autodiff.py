@@ -262,7 +262,7 @@ def test_backward_gives_every_node_its_own_gradient_array():
     row = tape.leaf([[0.5, -1.0, 2.0]])
     gamma, beta = tape.leaf([[2.0, 1.0, 0.5]]), tape.leaf([[0.0, 1.0, 0.0]])
     one = np.ones((1, 3))
-    affine = ad.domain_affine(row, [(None, -one, one, gamma, beta)])  # beta: pass-through
+    affine = ad.domain_affine(row, [(None, -one, one, gamma, beta)])  # relu drops two entries
     loss = ad.add(ad.add(ad.mean(s), ad.mean(w)), ad.weighted_sum(affine, one))
     ad.backward(tape, loss)
 
@@ -281,7 +281,7 @@ def test_backward_gives_every_node_its_own_gradient_array():
     assert w.grad is buffer
     np.testing.assert_array_equal(buffer, np.full((2, 3), (5.0 + 1 / 6) + (1 / 6) * -0.5))
     np.testing.assert_array_equal(x.grad, np.full((2, 3), (1 / 6) * -0.5))
-    np.testing.assert_array_equal(beta.grad, one)
+    np.testing.assert_array_equal(beta.grad, [[0.0, 0.0, 1.0]])
 
 
 def test_backward_allocates_a_gradient_only_once_a_contribution_reaches_it(monkeypatch):
@@ -378,6 +378,60 @@ def test_constant_ops_reject_shapes_that_grow_the_value():
         ad.scale(a, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_linear(seed):
+    rng = rng_for(seed, "g-linear")
+    inputs = [rng.standard_normal((4, 3)), rng.standard_normal((3, 5)), rng.standard_normal((1, 5))]
+    _fd_check(ad.linear, inputs, seed)
+    _fd_check(lambda h, w, b: ad.linear(h, w, b, relu=True), inputs, seed)
+
+
+@pytest.mark.parametrize("rows", [6, 1])
+@pytest.mark.parametrize("relu", [False, True], ids=["affine", "relu"])
+def test_linear_matches_the_unfused_ops_bit_for_bit(relu, rows):
+    rng = rng_for(rows, "linear-vs-unfused")
+    inputs = [rng.standard_normal((rows, 4)), rng.standard_normal((4, 5)), rng.standard_normal((1, 5))]
+    weights = rng.standard_normal((rows, 5))
+    results = []
+    for fused in (True, False):
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in inputs]
+        if fused:
+            out = ad.linear(*leaves, relu=relu)
+        else:
+            out = ad.add(ad.matmul(leaves[0], leaves[1]), leaves[2])
+            out = ad.relu(out) if relu else out
+        ad.backward(tape, ad.weighted_sum(out, weights))
+        results.append([out.value] + [leaf.grad for leaf in leaves])
+        grads = [node.grad for node in tape.nodes]  # one row: the bias's is a pass-through
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1:])
+    for fused, unfused in zip(*results):
+        assert fused.tobytes() == unfused.tobytes()
+
+
+def test_linear_rejects_bad_shapes():
+    tape = ad.Tape()
+    h, w, b = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((2, 4))), tape.leaf(np.ones((1, 4)))
+    with pytest.raises(ShapeMismatchError):
+        ad.linear(h, tape.leaf(np.ones((3, 4))), b)
+    with pytest.raises(ShapeMismatchError):
+        ad.linear(h, w, tape.leaf(np.ones((3, 4))))  # the bias is one row
+
+
+def test_fused_relus_check_finiteness_before_the_relu():
+    """A -inf before the relu would read 0 after it; the fused op names itself."""
+    tape = ad.Tape()
+    h = tape.leaf([[1e308, 1.0]])
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="'linear'"):
+            ad.linear(h, tape.leaf([[-10.0], [0.0]]), tape.leaf([[0.0]]), relu=True)
+        with pytest.raises(NonFiniteError, match="'domain_affine'"):
+            ad.domain_affine(
+                tape.leaf([[-1e308]]), [(None, zero, 10.0 * one, tape.leaf(one), tape.leaf(zero))]
+            )
+
+
 def _affine_branches(rng, n, d, split):
     """Per-domain constants for ``domain_affine``: rows before ``split`` are
     source, the rest target; a single-domain batch gets one unmasked branch."""
@@ -407,7 +461,7 @@ def _unfused_affine(constants, h, *params):
         y = ad.add(ad.mul(xhat, params[2 * i]), params[2 * i + 1])
         y = y if mask is None else ad.scale(y, mask)
         out = y if out is None else ad.add(out, y)
-    return out
+    return ad.relu(out)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -435,7 +489,7 @@ def test_domain_affine_matches_the_unfused_ops_bit_for_bit(split):
         tape = ad.Tape()
         leaves = [tape.leaf(a) for a in inputs]
         out = build(constants, *leaves)
-        ad.backward(tape, ad.weighted_sum(ad.relu(out), weights))
+        ad.backward(tape, ad.weighted_sum(out, weights))
         results.append((out.value, [leaf.grad for leaf in leaves]))
     (fused, fused_grads), (unfused, unfused_grads) = results
     np.testing.assert_array_equal(fused, unfused)

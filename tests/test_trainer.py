@@ -458,6 +458,24 @@ def test_no_step_tape_is_alive_when_the_run_predicts(monkeypatch):
     assert entered == [0, 0]  # one prediction per episode, no tape alive
 
 
+@pytest.mark.parametrize("scheme, nodes", [("v1", 44), ("cdan_only", 40)])
+def test_a_training_step_records_one_node_per_fused_layer(monkeypatch, scheme, nodes):
+    """19 leaves, then a linear and a relu-folded domain_affine per extractor
+    layer, a classifier linear, softmax, the losses, and a discriminator of
+    reversal, relu-folded linear, linear and sigmoid."""
+    counts = []
+    backward = ad.backward
+
+    def counting(tape, loss):
+        counts.append(len(tape.nodes))
+        backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    source, target = small_benchmark()
+    run(small_config(scheme=scheme, episodes=1), source, target)
+    assert counts and set(counts) == {nodes}
+
+
 def test_trained_params_are_views_of_one_flat_buffer():
     source, target = small_benchmark()
     result = run(small_config(scheme="v1"), source, target)

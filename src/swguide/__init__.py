@@ -10,7 +10,6 @@ Everything — including reverse-mode differentiation — runs on numpy.
 from .calibration import (
     DEFAULT_TAU,
     CalibrationResult,
-    LogitMatrix,
     SoftLabelSet,
     mean_winning_probability,
     sharpen,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TAU",
     "CalibrationResult",
-    "LogitMatrix",
     "SoftLabelSet",
     "mean_winning_probability",
     "sharpen",

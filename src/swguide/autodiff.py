@@ -25,6 +25,7 @@ to single-row matrices on entry.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 
 import numpy as np
@@ -222,13 +223,10 @@ def _constant_for(a: Node, value, op: str) -> np.ndarray:
 
 
 def scale(a: Node, alpha) -> Node:
-    """Multiply by a constant: a Python number, or an array that broadcasts
-    to ``a``'s shape (a row, a column or a full matrix).  The constant gets
-    no gradient and no node of its own."""
-    if isinstance(alpha, np.ndarray):
-        alpha = _constant_for(a, alpha, "scale")
-    else:
-        alpha = float(alpha)
+    """Multiply by a constant number (no gradient, no node of its own)."""
+    if not isinstance(alpha, numbers.Real):
+        raise ShapeMismatchError(f"scale takes a number, got {type(alpha).__name__}")
+    alpha = float(alpha)
     return a.tape._record(a.value * alpha, "scale", (a,), aux=alpha)
 
 
@@ -250,11 +248,6 @@ def sigmoid(a: Node) -> Node:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return a.tape._record(out, "sigmoid", (a,))
-
-
-def mean(a: Node) -> Node:
-    """Mean over every entry, returned as a 1x1 matrix."""
-    return a.tape._record(np.array([[a.value.mean()]]), "mean", (a,))
 
 
 def weighted_sum(a: Node, weights) -> Node:
@@ -341,10 +334,9 @@ def domain_affine(h: Node, branches) -> Node:
     running standard deviation), ``gamma`` and ``beta`` are (1, d) nodes, and
     ``mask`` is a constant 0/1 column selecting the branch's rows, or None
     for a branch that covers every row.  The value is the sum, in branch
-    order, of ``norm_affine(h, offset, inv_std, gamma, beta) * mask``: every
-    branch is computed over the whole batch, with the same arithmetic as the
-    ``shift``/``scale``/``mul``/``add`` composition it replaces.  The relu is
-    applied in place, as in :func:`linear`.
+    order, of ``norm_affine(h, offset, inv_std, gamma, beta) * mask``, every
+    branch computed over the whole batch.  The relu is applied in place, as
+    in :func:`linear`.
     """
     parents = [h]
     kept = []
@@ -442,11 +434,6 @@ def _back_sigmoid(node):
     _accumulate(a, node.grad * s * (1.0 - s))
 
 
-def _back_mean(node):
-    (a,) = node.parents
-    _accumulate(a, np.full(a.value.shape, node.grad[0, 0] / a.value.size))
-
-
 def _back_weighted_sum(node):
     (a,) = node.parents
     _accumulate(a, node.grad[0, 0] * node.aux)
@@ -503,7 +490,6 @@ _BACKWARD = {
     "shift": _back_shift,
     "relu": _back_relu,
     "sigmoid": _back_sigmoid,
-    "mean": _back_mean,
     "weighted_sum": _back_weighted_sum,
     "softmax_rows": _back_softmax_rows,
     "log_rows": _back_log_rows,

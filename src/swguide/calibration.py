@@ -31,43 +31,11 @@ MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
-class LogitMatrix:
-    """Raw per-sample class scores with their sample ids."""
-
-    logits: np.ndarray
-    sample_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        logits = np.ascontiguousarray(np.asarray(self.logits, dtype=np.float64))
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        if logits.ndim != 2 or logits.shape[1] < 2:
-            raise ClassMismatchError(
-                f"logits must be n x K with K >= 2, got shape {logits.shape}"
-            )
-        if not np.isfinite(logits).all():
-            raise NonFiniteError("logit matrix contains non-finite entries")
-        n = logits.shape[0]
-        if len(self.sample_ids) != n:
-            raise ClassMismatchError(f"got {len(self.sample_ids)} ids for {n} rows")
-        if len(set(self.sample_ids)) != n:
-            raise ClassMismatchError("sample ids must be unique")
-
-    @property
-    def n_classes(self) -> int:
-        return self.logits.shape[1]
-
-    def __len__(self) -> int:
-        return self.logits.shape[0]
-
-
-@dataclass(frozen=True)
 class SoftLabelSet:
     """Row-stochastic adjusted predictions keyed by sample id."""
 
     probs: np.ndarray
     sample_ids: tuple[str, ...]
-    temperature_used: float
 
     def __post_init__(self):
         probs = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
@@ -93,8 +61,6 @@ class SoftLabelSet:
             raise ClassMismatchError(
                 f"row {worst} sums to {sums[worst]!r}, expected 1 within 1e-9"
             )
-        if float(self.temperature_used) <= 0.0:
-            raise ValueError("temperature_used must be positive")
 
     @property
     def n_classes(self) -> int:
@@ -119,16 +85,28 @@ class CalibrationResult:
     iterations: int
 
 
-def _check_pair(source: LogitMatrix, target: LogitMatrix):
+def _check_logits(logits) -> np.ndarray:
+    """``logits`` as a float64 array, n x K with K >= 2 and finite."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[1] < 2:
+        raise ClassMismatchError(f"logits must be n x K with K >= 2, got shape {logits.shape}")
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("logit matrix contains non-finite entries")
+    return logits
+
+
+def _check_pair(source, target) -> tuple[np.ndarray, np.ndarray]:
+    """Both domains' checked logits; neither may be empty, and they share K."""
+    source, target = _check_logits(source), _check_logits(target)
     if len(source) == 0 or len(target) == 0:
         raise EmptyDomainError(
             f"both domains need rows, got source={len(source)} target={len(target)}"
         )
-    if source.n_classes != target.n_classes:
+    if source.shape[1] != target.shape[1]:
         raise ClassMismatchError(
-            f"class counts differ: source K={source.n_classes}, "
-            f"target K={target.n_classes}"
+            f"class counts differ: source K={source.shape[1]}, target K={target.shape[1]}"
         )
+    return source, target
 
 
 def _mean_max_prob(logits: np.ndarray, temperature: float) -> float:
@@ -138,13 +116,12 @@ def _mean_max_prob(logits: np.ndarray, temperature: float) -> float:
     return float((1.0 / softmax_numerators(logits, temperature).sum(axis=1)).mean())
 
 
-def mean_winning_probability(
-    source: LogitMatrix, target: LogitMatrix, temperature: float
-) -> float:
-    """Half/half mix of each domain's mean top softmax probability at ``temperature``."""
-    _check_pair(source, target)
-    return 0.5 * _mean_max_prob(source.logits, temperature) + 0.5 * _mean_max_prob(
-        target.logits, temperature
+def mean_winning_probability(source, target, temperature: float) -> float:
+    """Half/half mix of each domain's mean top softmax probability at
+    ``temperature``, for the (n, K) logit arrays of the two domains."""
+    source, target = _check_pair(source, target)
+    return 0.5 * _mean_max_prob(source, temperature) + 0.5 * _mean_max_prob(
+        target, temperature
     )
 
 
@@ -154,10 +131,9 @@ def _cold_limit(logits: np.ndarray) -> float:
     return float(np.mean(1.0 / multiplicity))
 
 
-def solve_temperature(
-    source: LogitMatrix, target: LogitMatrix, tau: float = DEFAULT_TAU
-) -> CalibrationResult:
-    """Bisect for the temperature whose mean winning probability equals ``tau``.
+def solve_temperature(source, target, tau: float = DEFAULT_TAU) -> CalibrationResult:
+    """Bisect for the temperature at which the mean winning probability of
+    the two domains' (n, K) logit arrays equals ``tau``.
 
     The bracket starts at (1e-3, 1e3) and expands by decades to at most
     (1e-12, 1e12).  Iteration stops once the achieved mean is within
@@ -165,18 +141,18 @@ def solve_temperature(
     ``BRACKET_RELATIVE_WIDTH`` relative to the answer, so the returned
     temperature itself is pinned, not just the constraint value.
     """
-    _check_pair(source, target)
+    source, target = _check_pair(source, target)
     tau = float(tau)
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    floor = 1.0 / source.n_classes
+    floor = 1.0 / source.shape[1]
     if tau <= floor:
         raise InfeasibleError(
             f"mean winning probability only falls to 1/K = {floor:.6f} as T grows "
             f"without bound, so tau={tau} is unreachable"
         )
 
-    ceiling = 0.5 * _cold_limit(source.logits) + 0.5 * _cold_limit(target.logits)
+    ceiling = 0.5 * _cold_limit(source) + 0.5 * _cold_limit(target)
     if ceiling <= tau:
         raise InfeasibleError(
             f"mean winning probability cannot exceed {ceiling:.6f} "
@@ -211,10 +187,9 @@ def solve_temperature(
     )
 
 
-def sharpen(logits: LogitMatrix, temperature: float) -> SoftLabelSet:
-    """Soft labels ``softmax(logits / temperature)``, floored away from {0, 1}."""
-    probs = stable_softmax(logits.logits, temperature)
+def sharpen(logits, sample_ids, temperature: float) -> SoftLabelSet:
+    """Soft labels ``softmax(logits / temperature)``, floored away from {0, 1},
+    for the rows of ``logits`` named by ``sample_ids``."""
+    probs = stable_softmax(_check_logits(logits), temperature)
     probs = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return SoftLabelSet(
-        probs=probs, sample_ids=logits.sample_ids, temperature_used=float(temperature)
-    )
+    return SoftLabelSet(probs=probs, sample_ids=sample_ids)

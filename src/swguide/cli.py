@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .calibration import LogitMatrix, solve_temperature
+from .calibration import solve_temperature
 from .data import (
     SyntheticSpec,
     _read_lines,
@@ -183,11 +183,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigInvalidError(f"--tau must lie in (0, 1), got {args.tau}")
     source = read_dataset(args.source)
     target = read_dataset(args.target)
-    result = solve_temperature(
-        LogitMatrix(source.zeroshot, source.sample_ids),
-        LogitMatrix(target.zeroshot, target.sample_ids),
-        args.tau,
-    )
+    result = solve_temperature(source.zeroshot, target.zeroshot, args.tau)
     print(f"T={result.temperature:.6f}")
     print(f"achieved_mean={result.achieved_mean:.6f}")
     print(f"iterations={result.iterations}")

@@ -322,7 +322,6 @@ def target_means(spec: SyntheticSpec) -> np.ndarray:
 
 def generate(spec: SyntheticSpec) -> tuple[DomainDataset, DomainDataset]:
     """Draw both domains; zero-shot scores are left zero (see simulate_zeroshot)."""
-    spec.validate()
     datasets = []
     for role, prefix, means in (
         ("source", "s", spec.class_means),

@@ -38,10 +38,7 @@ class ExpansionSelection:
 
     rows: np.ndarray
     pseudo_labels: np.ndarray
-    winning_scores: np.ndarray
     sample_ids: tuple[str, ...]
-    fraction: float
-    policy: str
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -104,12 +101,7 @@ def select_pseudo_source(
             keep[members[: _round_half_up(fraction * len(members))]] = True
         chosen = order[keep]
     return ExpansionSelection(
-        rows=chosen,
-        pseudo_labels=winning_class[chosen],
-        winning_scores=winning_score[chosen],
-        sample_ids=tuple(ids[chosen]),
-        fraction=fraction,
-        policy=policy,
+        rows=chosen, pseudo_labels=winning_class[chosen], sample_ids=tuple(ids[chosen])
     )
 
 

@@ -78,18 +78,6 @@ class ModelParams:
     classifier: tuple[np.ndarray, np.ndarray]
     discriminator: list[tuple[np.ndarray, np.ndarray]]
 
-    @property
-    def input_dim(self) -> int:
-        return self.extractor[0][0].shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.extractor[-1][0].shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.classifier[0].shape[1]
-
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Flat name → array view in a fixed, documented order."""
         named: dict[str, np.ndarray] = {}
@@ -278,10 +266,10 @@ class ParamNodes:
         return named
 
 
-def lift(tape: ad.Tape, params: ModelParams, grad: np.ndarray | None = None) -> ParamNodes:
+def lift(tape: ad.Tape, params: ModelParams, grad: np.ndarray) -> ParamNodes:
     """Put every trainable array on the tape as a leaf (stats stay constant).
 
-    ``grad``, if given, is a flat vector laid out like the buffer of
+    ``grad`` is a flat vector laid out like the buffer of
     :func:`pack_trainable`; each leaf accumulates its gradient into its view
     of it, so after backward() it holds the whole model's gradient.
     """
@@ -289,8 +277,6 @@ def lift(tape: ad.Tape, params: ModelParams, grad: np.ndarray | None = None) -> 
 
     def leaf(array):
         nonlocal offset
-        if grad is None:
-            return tape.leaf(array)
         offset += array.size
         if offset > grad.size:
             raise ShapeMismatchError(f"flat gradient of {grad.size} entries is too short")
@@ -305,7 +291,7 @@ def lift(tape: ad.Tape, params: ModelParams, grad: np.ndarray | None = None) -> 
         classifier=(leaf(params.classifier[0]), leaf(params.classifier[1])),
         discriminator=[(leaf(w), leaf(b)) for w, b in params.discriminator],
     )
-    if grad is not None and offset != grad.size:
+    if offset != grad.size:
         raise ShapeMismatchError(f"flat gradient has {grad.size} entries, the model {offset}")
     return nodes
 

@@ -64,8 +64,6 @@ def adjust_params(state: NormLayerState, mu_c, sigma_c) -> NormLayerState:
     """Rewrite (γ, β) for the new statistics without changing the function."""
     mu_c = np.asarray(mu_c, dtype=np.float64).reshape(1, -1)
     sigma_c = np.asarray(sigma_c, dtype=np.float64).reshape(1, -1)
-    if state.running_var.min() <= 0.0:
-        raise NonPositiveVarianceError("pretrained variance must be positive")
     if sigma_c.min() <= 0.0:
         raise NonPositiveVarianceError("estimated variance must be positive")
     sqrt_p = np.sqrt(state.running_var)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .calibration import LogitMatrix, SoftLabelSet, sharpen, solve_temperature
+from .calibration import SoftLabelSet, sharpen, solve_temperature
 from .data import DomainDataset, EpisodeMetrics, rng_for
 from .errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
 from .expansion import (
@@ -281,14 +281,12 @@ def build_teachers(
     """Calibrate (unless tau is None) and sharpen both domains' zero-shot
     scores; returns (T, source teacher, target teacher), each teacher
     row-aligned with its dataset."""
-    source_lm = LogitMatrix(source.zeroshot, source.sample_ids)
-    target_lm = LogitMatrix(target.zeroshot, target.sample_ids)
     if config.tau is None:
         temperature = 1.0
     else:
-        temperature = solve_temperature(source_lm, target_lm, config.tau).temperature
-    teacher_source = sharpen(source_lm, temperature)
-    teacher_target = sharpen(target_lm, temperature)
+        temperature = solve_temperature(source.zeroshot, target.zeroshot, config.tau).temperature
+    teacher_source = sharpen(source.zeroshot, source.sample_ids, temperature)
+    teacher_target = sharpen(target.zeroshot, target.sample_ids, temperature)
     return temperature, teacher_source, teacher_target
 
 
@@ -490,10 +488,9 @@ def _train_step(
 
 
 def _zeroshot_only(config, source, target) -> RunResult:
-    if (target.labels < 0).any():
-        raise UnlabeledError("zero-shot evaluation needs target ground truth")
+    labels = _evaluation_labels(target)
     probs = ad.stable_softmax(target.zeroshot, 1.0)
-    accuracy = float((probs.argmax(axis=1) == target.labels).mean())
+    accuracy = _accuracy(probs, labels)
     params = init_params(
         rng_for(config.seed, "init", "run1"),
         input_dim=source.feature_dim,
@@ -526,9 +523,7 @@ def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) ->
         fraction=config.v2_fraction_first,
         teachers=teachers,
     )
-    previous = SoftLabelSet(
-        probs=run1.prediction_probs, sample_ids=run1.prediction_ids, temperature_used=1.0
-    )
+    previous = SoftLabelSet(probs=run1.prediction_probs, sample_ids=run1.prediction_ids)
 
     scores = mix_scores(previous, teacher_target)
     run2 = _single_run(

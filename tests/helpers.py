@@ -49,6 +49,11 @@ def trainable_names(params: ModelParams) -> list[str]:
     ]
 
 
+def zero_grad(params: ModelParams) -> np.ndarray:
+    """A zero flat gradient buffer for ``lift`` of ``params``."""
+    return np.zeros(sum(array.size for array in params.trainable_arrays().values()))
+
+
 def tiny_model(seed: int, d_x: int = 4, k: int = 3, hidden: int = 4,
                disc_hidden: int = 3) -> ModelParams:
     rng = rng_for(seed, "test", "tiny-model")
@@ -107,15 +112,18 @@ def _loss_node(tape, nodes, params, batch, kind: str, lam: float):
     raise ValueError(kind)
 
 
-def model_loss_value(params, batch, kind: str, lam: float = 1.0) -> float:
+def model_loss_value(params, batch, kind: str, lam: float, grad: np.ndarray) -> float:
+    """The loss of one forward-only pass; ``grad`` is a flat buffer for
+    ``lift``, never written without a backward pass, so one can serve
+    every call."""
     tape = ad.Tape()
-    nodes = lift(tape, params)
+    nodes = lift(tape, params, grad)
     return float(_loss_node(tape, nodes, params, batch, kind, lam).value[0, 0])
 
 
 def model_loss_grads(params, batch, kind: str, lam: float = 1.0) -> dict[str, np.ndarray]:
     tape = ad.Tape()
-    nodes = lift(tape, params)
+    nodes = lift(tape, params, zero_grad(params))
     loss = _loss_node(tape, nodes, params, batch, kind, lam)
     ad.backward(tape, loss)
     named = nodes.named_nodes()
@@ -127,6 +135,7 @@ def finite_difference_grads(params, batch, kind: str, lam: float = 1.0,
     """Central differences through the full model, one entry at a time."""
     work = params.copy()
     named = work.named_arrays()
+    unused = zero_grad(work)
     grads = {}
     for name in trainable_names(work):
         array = named[name]
@@ -136,9 +145,9 @@ def finite_difference_grads(params, batch, kind: str, lam: float = 1.0,
             idx = it.multi_index
             original = array[idx]
             array[idx] = original + h
-            plus = model_loss_value(work, batch, kind, lam)
+            plus = model_loss_value(work, batch, kind, lam, unused)
             array[idx] = original - h
-            minus = model_loss_value(work, batch, kind, lam)
+            minus = model_loss_value(work, batch, kind, lam, unused)
             array[idx] = original
             grad[idx] = (plus - minus) / (2.0 * h)
         grads[name] = grad

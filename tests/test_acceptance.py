@@ -17,7 +17,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from swguide.calibration import LogitMatrix, sharpen, solve_temperature
+from swguide.calibration import sharpen, solve_temperature
 from swguide.cli import main, write_run_artifacts
 from swguide.data import SyntheticSpec, make_benchmark, rng_for
 from swguide.errors import InfeasibleError
@@ -101,35 +101,28 @@ def _np_mean_winning(logits: np.ndarray, temperature: float) -> float:
     return float(p.max(axis=1).mean())
 
 
-def _logit_matrix(rows: np.ndarray, prefix: str) -> LogitMatrix:
-    ids = tuple(f"{prefix}{i:04d}" for i in range(rows.shape[0]))
-    return LogitMatrix(logits=rows, sample_ids=ids)
-
-
 def test_criterion_2_calibration(capsys):
     """Solver hits tau to 1e-6 on random 200x10 sets; fixture, ties, argmax."""
     worst_gap = 0.0
     for seed in range(8):
         rng = np.random.default_rng(seed)
         scale = rng.uniform(0.5, 3.0)
-        src = _logit_matrix(rng.normal(size=(100, 10)) * scale, "s")
-        tgt = _logit_matrix(rng.normal(size=(100, 10)) * scale, "t")
+        src = rng.normal(size=(100, 10)) * scale
+        tgt = rng.normal(size=(100, 10)) * scale
         tau = float(rng.uniform(0.2, 0.95))
         result = solve_temperature(src, tgt, tau)
         # Recompute the achieved mean from the raw logits, independently.
-        achieved = 0.5 * _np_mean_winning(src.logits, result.temperature)
-        achieved += 0.5 * _np_mean_winning(tgt.logits, result.temperature)
+        achieved = 0.5 * _np_mean_winning(src, result.temperature)
+        achieved += 0.5 * _np_mean_winning(tgt, result.temperature)
         worst_gap = max(worst_gap, abs(achieved - tau))
 
-    fixture = _logit_matrix(np.array([[math.log(9.0), 0.0]]), "s")
-    fixture_t = _logit_matrix(np.array([[math.log(9.0), 0.0]]), "t")
-    t_fixture = solve_temperature(fixture, fixture_t, 0.9).temperature
+    fixture = np.array([[math.log(9.0), 0.0]])
+    t_fixture = solve_temperature(fixture, fixture, 0.9).temperature
     fixture_ok = abs(t_fixture - 1.0) <= 1e-6
 
-    tied = _logit_matrix(np.zeros((5, 4)), "s")
-    tied_t = _logit_matrix(np.zeros((5, 4)), "t")
+    tied = np.zeros((5, 4))
     try:
-        solve_temperature(tied, tied_t, 0.9)
+        solve_temperature(tied, tied, 0.9)
         ties_ok = False
     except InfeasibleError:
         ties_ok = True
@@ -137,10 +130,11 @@ def test_criterion_2_calibration(capsys):
     argmax_ok = True
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        logits = _logit_matrix(rng.normal(size=(200, 10)), "t")
-        raw = logits.logits.argmax(axis=1)
+        logits = rng.normal(size=(200, 10))
+        ids = tuple(f"t{i:04d}" for i in range(len(logits)))
+        raw = logits.argmax(axis=1)
         for temperature in np.logspace(-3.0, 3.0, 13):
-            soft = sharpen(logits, float(temperature))
+            soft = sharpen(logits, ids, float(temperature))
             argmax_ok &= bool((soft.probs.argmax(axis=1) == raw).all())
 
     ok = worst_gap <= 1e-6 and fixture_ok and ties_ok and argmax_ok
@@ -220,7 +214,7 @@ def test_criterion_3_norm_adjustment(capsys):
 def _soft(rows, prefix="x") -> SoftLabelSet:
     rows = np.asarray(rows, dtype=np.float64)
     ids = tuple(f"{prefix}{i}" for i in range(rows.shape[0]))
-    return SoftLabelSet(probs=rows, sample_ids=ids, temperature_used=1.0)
+    return SoftLabelSet(probs=rows, sample_ids=ids)
 
 
 def test_criterion_4_selection_matches_brute_force(capsys):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swguide.calibration import (
-    LogitMatrix,
     SoftLabelSet,
     mean_winning_probability,
     sharpen,
     solve_temperature,
+    stable_softmax,
 )
 from swguide.data import rng_for
 from swguide.errors import (
@@ -28,47 +28,64 @@ from swguide.errors import (
 from helpers import grid_scan_temperature
 
 
-def lm(logits, prefix="x"):
-    logits = np.asarray(logits, dtype=np.float64)
-    ids = tuple(f"{prefix}{i}" for i in range(logits.shape[0]))
-    return LogitMatrix(logits=logits, sample_ids=ids)
+def lm(logits):
+    return np.asarray(logits, dtype=np.float64)
+
+
+def ids(logits):
+    return tuple(f"x{i}" for i in range(len(logits)))
 
 
 LN9_ROW = [[np.log(9.0), 0.0]]
 
 
 # ---------------------------------------------------------------------------
-# LogitMatrix / SoftLabelSet validation
+# Logit pair / SoftLabelSet validation
 # ---------------------------------------------------------------------------
 
 
 def test_logit_matrix_rejects_single_class():
-    with pytest.raises(ClassMismatchError):
-        lm([[1.0]])
+    ok = lm([[1.0, 0.0]])
+    for bad in (lm([[1.0]]), lm([1.0, 0.0])):
+        for pair in ((bad, ok), (ok, bad)):
+            with pytest.raises(ClassMismatchError, match="K >= 2"):
+                mean_winning_probability(*pair, 1.0)
+            with pytest.raises(ClassMismatchError, match="K >= 2"):
+                solve_temperature(*pair, 0.9)
+        with pytest.raises(ClassMismatchError, match="K >= 2"):
+            sharpen(bad, ("a",), 1.0)
 
 
 def test_logit_matrix_rejects_nonfinite():
-    with pytest.raises(NonFiniteError):
-        lm([[np.inf, 0.0]])
+    ok = lm([[1.0, 0.0]])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFiniteError):
+            solve_temperature(ok, lm([[bad, 0.0]]), 0.9)
+        with pytest.raises(NonFiniteError):
+            mean_winning_probability(lm([[bad, 0.0]]), ok, 1.0)
+        with pytest.raises(NonFiniteError, match="logit"):
+            sharpen(lm([[bad, 0.0]]), ("a",), 1.0)
 
 
 def test_logit_matrix_rejects_duplicate_ids():
     with pytest.raises(ClassMismatchError):
-        LogitMatrix(np.zeros((2, 2)), ("a", "a"))
+        sharpen(np.zeros((2, 2)), ("a", "a"), 1.0)
+    with pytest.raises(ClassMismatchError):
+        sharpen(np.zeros((2, 2)), ("a",), 1.0)
 
 
 def test_soft_label_set_requires_unit_rows():
     with pytest.raises(ClassMismatchError):
-        SoftLabelSet(np.array([[0.5, 0.4]]), ("a",), 1.0)
+        SoftLabelSet(np.array([[0.5, 0.4]]), ("a",))
 
 
 def test_soft_label_set_rejects_entries_outside_unit_interval():
     with pytest.raises(ClassMismatchError):
-        SoftLabelSet(np.array([[1.2, -0.2]]), ("a",), 1.0)
+        SoftLabelSet(np.array([[1.2, -0.2]]), ("a",))
 
 
 def test_soft_label_rows_for_orders_and_validates():
-    labels = SoftLabelSet(np.array([[0.7, 0.3], [0.2, 0.8]]), ("a", "b"), 1.0)
+    labels = SoftLabelSet(np.array([[0.7, 0.3], [0.2, 0.8]]), ("a", "b"))
     np.testing.assert_array_equal(
         labels.rows_for(["b", "a"]), np.array([[0.2, 0.8], [0.7, 0.3]])
     )
@@ -82,20 +99,20 @@ def test_soft_label_rows_for_orders_and_validates():
 
 
 def test_mean_winning_probability_hand_fixture():
-    value = mean_winning_probability(lm(LN9_ROW), lm(LN9_ROW, prefix="t"), 1.0)
+    value = mean_winning_probability(lm(LN9_ROW), lm(LN9_ROW), 1.0)
     assert value == pytest.approx(0.9, abs=1e-12)
 
 
 def test_mean_winning_probability_per_domain_average():
     source = lm([[np.log(4.0), 0.0], [np.log(4.0), 0.0]])
-    target = lm([[np.log(1.5), 0.0]], prefix="t")
+    target = lm([[np.log(1.5), 0.0]])
     assert mean_winning_probability(source, target, 1.0) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_mean_winning_probability_uniform_limit():
     rng = rng_for(0, "uniform-limit")
     source = lm(rng.standard_normal((5, 4)))
-    target = lm(rng.standard_normal((6, 4)), prefix="t")
+    target = lm(rng.standard_normal((6, 4)))
     assert mean_winning_probability(source, target, 1e9) == pytest.approx(0.25, abs=1e-6)
 
 
@@ -104,7 +121,7 @@ def test_mean_winning_probability_errors():
     with pytest.raises(EmptyDomainError):
         mean_winning_probability(source, lm(np.zeros((0, 2))), 1.0)
     with pytest.raises(ClassMismatchError):
-        mean_winning_probability(source, lm([[1.0, 0.0, 0.0]], prefix="t"), 1.0)
+        mean_winning_probability(source, lm([[1.0, 0.0, 0.0]]), 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -112,7 +129,7 @@ def test_mean_winning_probability_errors():
 def test_mean_winning_probability_monotone_in_temperature(seed, k, n):
     rng = rng_for(seed, "monotone")
     source = lm(rng.standard_normal((n, k)) * 3)
-    target = lm(rng.standard_normal((n, k)) * 3, prefix="t")
+    target = lm(rng.standard_normal((n, k)) * 3)
     temperatures = np.geomspace(0.01, 100.0, 12)
     values = [mean_winning_probability(source, target, t) for t in temperatures]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -126,7 +143,7 @@ def test_mean_winning_probability_monotone_in_temperature(seed, k, n):
 
 
 def test_solver_pins_the_unit_temperature_fixture():
-    result = solve_temperature(lm(LN9_ROW), lm(LN9_ROW, prefix="t"), 0.9)
+    result = solve_temperature(lm(LN9_ROW), lm(LN9_ROW), 0.9)
     assert result.temperature == pytest.approx(1.0, abs=1e-6)
     assert result.achieved_mean == pytest.approx(0.9, abs=1e-6)
     assert result.iterations <= 200
@@ -135,14 +152,14 @@ def test_solver_pins_the_unit_temperature_fixture():
 def test_solver_ties_raise_infeasible():
     tied = lm([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InfeasibleError):
-        solve_temperature(tied, lm([[0.0, 0.0]], prefix="t"), 0.9)
+        solve_temperature(tied, lm([[0.0, 0.0]]), 0.9)
 
 
 def test_solver_partial_ties_account_for_multiplicity():
     # Source rows tied two ways cap the source mean at 1/2, so the overall
     # ceiling is 1/2 + 1/2 * 1 = 3/4 < 0.9.
     source = lm([[1.0, 1.0, 0.0]])
-    target = lm([[5.0, 0.0, 0.0]], prefix="t")
+    target = lm([[5.0, 0.0, 0.0]])
     with pytest.raises(InfeasibleError):
         solve_temperature(source, target, 0.9)
     result = solve_temperature(source, target, 0.7)
@@ -152,7 +169,7 @@ def test_solver_partial_ties_account_for_multiplicity():
 def test_solver_tau_at_most_one_over_k_is_infeasible():
     rng = rng_for(1, "low-tau")
     source = lm(rng.standard_normal((4, 2)))
-    target = lm(rng.standard_normal((4, 2)), prefix="t")
+    target = lm(rng.standard_normal((4, 2)))
     for tau in (0.2, 0.5):  # the T -> infinity limit is 1/K = 0.5
         with pytest.raises(InfeasibleError, match="1/K"):
             solve_temperature(source, target, tau)
@@ -160,7 +177,7 @@ def test_solver_tau_at_most_one_over_k_is_infeasible():
 
 def test_solver_rejects_tau_outside_unit_interval():
     source = lm([[1.0, 0.0]])
-    target = lm([[1.0, 0.0]], prefix="t")
+    target = lm([[1.0, 0.0]])
     with pytest.raises(ValueError):
         solve_temperature(source, target, 1.5)
 
@@ -170,9 +187,7 @@ def test_solver_matches_grid_scan_oracle(seed):
     rng = rng_for(seed, "solver-oracle")
     source_logits = rng.standard_normal((50, 10)) * 2
     target_logits = rng.standard_normal((40, 10)) * 2
-    result = solve_temperature(
-        lm(source_logits), lm(target_logits, prefix="t"), 0.9
-    )
+    result = solve_temperature(source_logits, target_logits, 0.9)
     assert abs(result.achieved_mean - 0.9) <= 1e-6
     scanned = grid_scan_temperature(source_logits, target_logits, 0.9)
     assert result.temperature == pytest.approx(scanned, rel=1e-3)
@@ -183,7 +198,7 @@ def test_solver_matches_grid_scan_oracle(seed):
 def test_solver_hits_arbitrary_targets(seed, tau):
     rng = rng_for(seed, "solver-prop")
     source = lm(rng.standard_normal((12, 5)) * 3)
-    target = lm(rng.standard_normal((9, 5)) * 3, prefix="t")
+    target = lm(rng.standard_normal((9, 5)) * 3)
     result = solve_temperature(source, target, tau)
     assert abs(result.achieved_mean - tau) <= 1e-6
     assert mean_winning_probability(source, target, result.temperature) == pytest.approx(
@@ -199,18 +214,18 @@ def test_solver_hits_arbitrary_targets(seed, tau):
 def test_sharpen_hand_fixtures():
     logits = lm([[2.0, 0.0]])
     np.testing.assert_allclose(
-        sharpen(logits, 1.0).probs, [[0.8808, 0.1192]], atol=1e-4
+        sharpen(logits, ("a",), 1.0).probs, [[0.8808, 0.1192]], atol=1e-4
     )
     np.testing.assert_allclose(
-        sharpen(logits, 0.5).probs, [[0.9820, 0.0180]], atol=1e-4
+        sharpen(logits, ("a",), 0.5).probs, [[0.9820, 0.0180]], atol=1e-4
     )
 
 
 def test_sharpen_carries_ids_and_temperature():
     logits = lm([[1.0, 0.0], [0.0, 1.0]])
-    labels = sharpen(logits, 0.7)
-    assert labels.sample_ids == logits.sample_ids
-    assert labels.temperature_used == 0.7
+    labels = sharpen(logits, ["a", "b"], 0.7)
+    assert labels.sample_ids == ("a", "b")
+    np.testing.assert_array_equal(labels.probs, stable_softmax(logits, 0.7))
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,7 +233,7 @@ def test_sharpen_carries_ids_and_temperature():
 def test_sharpen_preserves_argmax_and_mass(seed, temperature):
     rng = rng_for(seed, "sharpen-prop")
     logits_arr = rng.standard_normal((6, 4)) * 4
-    labels = sharpen(lm(logits_arr), temperature)
+    labels = sharpen(logits_arr, ids(logits_arr), temperature)
     np.testing.assert_array_equal(
         labels.probs.argmax(axis=1), logits_arr.argmax(axis=1)
     )
@@ -228,6 +243,7 @@ def test_sharpen_preserves_argmax_and_mass(seed, temperature):
 
 def test_sharpen_then_renormalize_is_a_no_op():
     rng = rng_for(2, "renormalize")
-    labels = sharpen(lm(rng.standard_normal((5, 3))), 0.8)
+    logits = rng.standard_normal((5, 3))
+    labels = sharpen(logits, ids(logits), 0.8)
     renormalized = labels.probs / labels.probs.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(renormalized, labels.probs, rtol=0, atol=1e-12)

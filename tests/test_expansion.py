@@ -31,7 +31,7 @@ from helpers import brute_force_class_balanced, brute_force_global, score_record
 def soft(rows, prefix="t"):
     rows = np.asarray(rows, dtype=np.float64)
     ids = tuple(f"{prefix}{i:02d}" for i in range(rows.shape[0]))
-    return SoftLabelSet(probs=rows, sample_ids=ids, temperature_used=1.0)
+    return SoftLabelSet(probs=rows, sample_ids=ids)
 
 
 def scores_from(winning, prefix="t"):
@@ -52,7 +52,7 @@ def test_score_from_soft_labels_reads_rows():
     assert selection.sample_ids == ("t01", "t00")
     np.testing.assert_array_equal(selection.rows, [1, 0])
     assert selection.pseudo_labels.tolist() == [1, 0]
-    assert selection.winning_scores.tolist() == [0.9, 0.7]
+    assert labels.probs.max(axis=1)[selection.rows].tolist() == [0.9, 0.7]
 
 
 def test_score_tie_goes_to_lowest_class():
@@ -92,8 +92,8 @@ def test_mix_agreement_scores_three_halves():
 
 
 def test_mix_aligns_rows_by_sample_id():
-    prev = SoftLabelSet(np.array([[1.0, 0.0], [0.0, 1.0]]), ("b", "a"), 1.0)
-    zs = SoftLabelSet(np.array([[0.5, 0.5], [0.5, 0.5]]), ("a", "b"), 1.0)
+    prev = SoftLabelSet(np.array([[1.0, 0.0], [0.0, 1.0]]), ("b", "a"))
+    zs = SoftLabelSet(np.array([[0.5, 0.5], [0.5, 0.5]]), ("a", "b"))
     mixed = dict(zip(zs.sample_ids, mix_scores(prev, zs)))
     np.testing.assert_allclose(mixed["a"], [0.25, 1.25])
     np.testing.assert_allclose(mixed["b"], [1.25, 0.25])
@@ -116,7 +116,7 @@ def test_global_selection_takes_top_half():
     selection = select_pseudo_source(scores, ids, 0.5, "global")
     assert selection.sample_ids == ("t00", "t02")
     np.testing.assert_array_equal(selection.rows, [0, 2])
-    assert selection.winning_scores.tolist() == [0.9, 0.8]
+    assert scores.max(axis=1)[selection.rows].tolist() == [0.9, 0.8]
 
 
 def test_selection_rounds_half_up():
@@ -143,7 +143,7 @@ def test_class_balanced_takes_fraction_per_predicted_class():
     # Class 0 keeps its top 2 of 4; class 1 keeps its top 1 of 2.  A global
     # cut at the same fraction would drop b1's 0.55 for a2's 0.7.
     assert set(selection.sample_ids) == {"a0", "a1", "b0"}
-    assert selection.winning_scores.tolist() == [0.9, 0.9, 0.8]
+    assert scores.max(axis=1)[selection.rows].tolist() == [0.9, 0.9, 0.8]
     assert selection.pseudo_labels.tolist() == [0, 1, 0]
 
 
@@ -225,10 +225,7 @@ def _selection_of(rows, sample_ids):
     return ExpansionSelection(
         rows=rows,
         pseudo_labels=np.zeros(len(rows), dtype=np.int64),
-        winning_scores=np.full(len(rows), 0.5),
         sample_ids=sample_ids,
-        fraction=1.0,
-        policy="global",
     )
 
 

@@ -32,6 +32,7 @@ from helpers import (
     tiny_batch,
     tiny_model,
     trainable_names,
+    zero_grad,
 )
 
 
@@ -47,7 +48,6 @@ def test_init_params_shapes_and_zero_biases():
                for w, b in params.extractor)
     assert params.classifier[0].shape == (5, 4)
     assert [w.shape for w, _ in params.discriminator] == [(20, 7), (7, 1)]
-    assert params.input_dim == 6 and params.feature_dim == 5 and params.n_classes == 4
     for states in params.norm_states:
         for state in states.values():
             np.testing.assert_array_equal(state.gamma, np.ones((1, 5)))
@@ -156,9 +156,10 @@ def test_lift_with_a_flat_gradient_fills_it_like_separate_leaves():
 def test_eager_forward_allocates_no_gradients():
     params = tiny_model(5)
     tape = ad.Tape()
-    nodes = lift(tape, params)
+    nodes = lift(tape, params, zero_grad(params))
+    lifted = len(tape.nodes)  # each parameter leaf holds its view of the buffer
     forward_on_tape(nodes, params, tape.leaf(np.ones((2, 4))), _masks(["source", "target"]))
-    assert all(node.grad is None for node in tape.nodes)
+    assert all(node.grad is None for node in tape.nodes[lifted:])
     assert sum(node.op == "domain_affine" for node in tape.nodes) == len(params.extractor)
 
 
@@ -174,7 +175,7 @@ def test_copy_is_deep_for_trainables_and_stats():
 def test_lifted_nodes_cover_exactly_the_trainables():
     params = tiny_model(2)
     tape = ad.Tape()
-    nodes = lift(tape, params)
+    nodes = lift(tape, params, zero_grad(params))
     named = nodes.named_nodes()
     assert sorted(named) == sorted(trainable_names(params))
     for name, node in named.items():
@@ -210,13 +211,13 @@ def _masks(tags):
 def _forward_on_tape(params, x, masks):
     """(features, logits, probabilities) values of one taped forward."""
     tape = ad.Tape()
-    nodes = forward_on_tape(lift(tape, params), params, tape.leaf(x), masks)
+    nodes = forward_on_tape(lift(tape, params, zero_grad(params)), params, tape.leaf(x), masks)
     return tuple(node.value for node in nodes)
 
 
 def _discriminate_on_tape(params, joint, lam):
     tape = ad.Tape()
-    return discriminate_on_tape(lift(tape, params), tape.leaf(joint), lam).value
+    return discriminate_on_tape(lift(tape, params, zero_grad(params)), tape.leaf(joint), lam).value
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -353,7 +354,7 @@ def test_probs_are_softmax_of_logits():
 def test_discriminate_outputs_probabilities_and_ignores_lambda_forward():
     params = tiny_model(9)
     rng = rng_for(9, "disc")
-    joint = rng.standard_normal((6, params.feature_dim * params.n_classes))
+    joint = rng.standard_normal((6, 4 * 3))  # tiny_model's features x classes
     out = _discriminate_on_tape(params, joint, lam=1.0)
     assert out.shape == (6, 1)
     assert ((out > 0) & (out < 1)).all()

@@ -3,14 +3,15 @@ schedules, scheme dispatch, and run determinism."""
 
 import dataclasses
 import gc
+import importlib.util
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from swguide.calibration import (
-    LogitMatrix,
     mean_winning_probability,
     solve_temperature,
     stable_softmax,
@@ -253,11 +254,7 @@ def test_evaluate_does_not_mutate_params():
 def test_build_teachers_calibrates_to_tau():
     source, target = small_benchmark()
     temperature, t_src, t_tgt = build_teachers(small_config(tau=0.8), source, target)
-    achieved = mean_winning_probability(
-        LogitMatrix(source.zeroshot, source.sample_ids),
-        LogitMatrix(target.zeroshot, target.sample_ids),
-        temperature,
-    )
+    achieved = mean_winning_probability(source.zeroshot, target.zeroshot, temperature)
     assert abs(achieved - 0.8) <= 1e-6
     # Each teacher is row-aligned with its dataset; the trainer gathers by row.
     assert t_src.sample_ids == source.sample_ids
@@ -520,3 +517,26 @@ def test_degenerate_class_layouts_train_to_row_stochastic_predictions(case, sche
     assert np.isfinite(probs).all() and (probs >= 0.0).all()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert 0.0 <= result.accuracy <= 1.0
+
+
+def test_every_backward_rule_is_recorded_by_training_or_traced_by_the_benchmark(monkeypatch):
+    """A backward rule that no training step records, and that the
+    benchmark's tracer (``bench/spans.py``) does not look up, belongs to an
+    op only tests call."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    recorded = set()
+    backward = ad.backward
+
+    def recording(tape, loss):
+        recorded.update(node.op for node in tape.nodes)
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", recording)
+    source, target = small_benchmark()
+    for scheme in ("v1", "v2", "cdan_only"):
+        run(small_config(scheme=scheme, episodes=1), source, target)
+    assert {"linear", "domain_affine", "weighted_sum"} <= recorded
+    assert sorted(set(ad._BACKWARD) - recorded - set(spans.OPS)) == []

@@ -341,6 +341,19 @@ def test_grad_scale(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_grad_scale_by_constant_array(seed):
+    """scale takes numbers only; a product with a constant array is
+    weighted_sum's, as in the losses' per-row weights.  Weights made of a
+    row times a column, against finite differences and the NumPy sum."""
+    rng = rng_for(seed, "g-scale-array")
+    weights = rng.standard_normal((1, 3)) * rng.standard_normal((4, 1))
+    x = rng.standard_normal((4, 3))
+    _fd_check(lambda a: ad.weighted_sum(a, weights), [x], seed)
+    tape = ad.Tape()
+    assert ad.weighted_sum(tape.leaf(x), weights).value[0, 0] == np.sum(x * weights)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_grad_shift(seed):
     rng = rng_for(seed, "g-shift")
     offset = rng.standard_normal(3)
@@ -531,6 +544,19 @@ def test_grad_relu_away_from_kink(seed):
 def test_grad_sigmoid(seed):
     rng = rng_for(seed, "g-sigmoid")
     _fd_check(ad.sigmoid, [rng.standard_normal((3, 4)) * 2], seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grad_mean(seed):
+    """The mean over every entry, as the losses take it: weighted_sum with
+    weights of one over the entry count."""
+    rng = rng_for(seed, "g-mean")
+    x = rng.standard_normal((3, 5))
+    uniform = np.full(x.shape, 1.0 / x.size)
+    _fd_check(lambda a: ad.weighted_sum(a, uniform), [x], seed)
+    tape = ad.Tape()
+    mean = ad.weighted_sum(tape.leaf(x), uniform).value
+    np.testing.assert_allclose(mean, [[x.mean()]], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

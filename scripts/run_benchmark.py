@@ -22,28 +22,35 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from swguide.cli import write_run_artifacts
 from swguide.data import SyntheticSpec, make_benchmark
-from swguide.trainer import TrainConfig, run
-
-SCHEMES = ("v1", "v2", "weak_only", "cdan_only", "zeroshot_only")
+from swguide.trainer import SCHEMES, TrainConfig, run
 
 
 def parse_seeds(raw: str) -> list[int]:
-    if "-" in raw:
-        lo, hi = raw.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in raw.split(",")]
+    """The --seeds value: a range "0-4" or a list "0,2,5", never empty."""
+    try:
+        if "-" in raw:
+            lo, hi = raw.split("-", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed list {raw!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {raw!r}")
+    return seeds
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0-4", help="range 0-4 or list 0,2,5")
+    parser.add_argument(
+        "--seeds", type=parse_seeds, default="0-4", help="range 0-4 or list 0,2,5"
+    )
     parser.add_argument("--episodes", type=int, default=25)
     parser.add_argument("--tau", type=float, default=0.9)
     parser.add_argument("--fraction", type=float, default=0.5)
     parser.add_argument("--out", default=None, help="directory for run artifacts")
     args = parser.parse_args()
 
-    seeds = parse_seeds(args.seeds)
     base = TrainConfig(
         episodes=args.episodes, tau=args.tau, expansion_fraction=args.fraction
     )
@@ -52,7 +59,7 @@ def main() -> int:
     print("  ".join(f"{name:>13}" for name in header))
     accs: dict[str, list[float]] = {scheme: [] for scheme in SCHEMES}
     start = time.time()
-    for seed in seeds:
+    for seed in args.seeds:
         spec = SyntheticSpec.standard(seed=seed)
         source, target = make_benchmark(spec)
         oracle = float((target.zeroshot.argmax(axis=1) == target.labels).mean())
@@ -71,7 +78,7 @@ def main() -> int:
         f"{np.mean(accs[scheme]):>13.3f}" for scheme in SCHEMES
     ]
     print("  ".join(means))
-    print(f"# {len(seeds)} seeds x {len(SCHEMES)} schemes in {time.time() - start:.0f}s")
+    print(f"# {len(args.seeds)} seeds x {len(SCHEMES)} schemes in {time.time() - start:.0f}s")
     return 0
 
 

@@ -215,14 +215,19 @@ def _run_sweep(tasks, jobs: int) -> list[tuple[str, float]]:
     return [_run_one(task) for task in tasks]
 
 
-def _parse_list(flag: str, raw: str, parse) -> list:
-    """``parse`` of each stripped entry of a comma-separated ``--flag`` value."""
+def _parse_list(flag: str, raw: str, parse, key=lambda value: value) -> list:
+    """``parse`` of each stripped entry of a comma-separated ``--flag`` value.
+    Two entries with equal ``key`` would train the same runs into one
+    directory, so they are an error."""
     try:
         values = [parse(v.strip()) for v in raw.split(",") if v != ""]
     except ValueError:
         raise ConfigInvalidError(f"bad value {raw!r} for --{flag}") from None
     if not values:
         raise ConfigInvalidError(f"--{flag} needs at least one value, got {raw!r}")
+    keys = [key(value) for value in values]
+    if any(k in keys[:i] for i, k in enumerate(keys)):
+        raise ConfigInvalidError(f"--{flag} repeats a value: {raw!r}")
     return values
 
 
@@ -248,7 +253,9 @@ def _sweep(args, flag: str, key: str, setting) -> int:
     if args.jobs < 1:
         raise ConfigInvalidError(f"--jobs must be >= 1, got {args.jobs}")
     config = build_train_config(args)
-    settings = _parse_list(flag, getattr(args, flag), setting)
+    settings = _parse_list(
+        flag, getattr(args, flag), setting, key=lambda labelled: labelled[1]
+    )
     seeds = _parse_list("seeds", args.seeds, int)
     tasks = []
     for label, overrides in settings:

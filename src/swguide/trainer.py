@@ -5,11 +5,15 @@ teachers → select and append pseudo-source samples → adapt norm layers
 per domain → episodic mini-batch training on classification +
 distillation + adversarial losses → per-episode target evaluation.
 
+The objective is the unweighted sum CE + KD + CDAN adversarial loss, but
+for ``w_kd`` on KD (``cdan_only`` sets it to 0).  Pseudo-source rows count
+as source data everywhere, for the discriminator too.
+
 Schemes:
     v1             one run at the configured expansion fraction
-    v2             two runs (1/3 then 2/3 expansion); the second run mixes
-                   the first run's predictions into the scores and
-                   restarts from fresh parameters
+    v2             two runs at the V2_FRACTIONS expansion (1/3, then 2/3);
+                   the second run mixes the first run's predictions into
+                   the scores and restarts from fresh parameters
     weak_only      v1 with expansion fraction 0
     cdan_only      weak_only with the distillation term removed
     zeroshot_only  no training; the zero-shot argmax is the prediction
@@ -21,7 +25,8 @@ given (config, datasets) pair always produces identical artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,24 +58,11 @@ from .model import (
 from .norm_adapt import adapt_model
 
 SCHEMES = ("v1", "v2", "weak_only", "cdan_only", "zeroshot_only")
+V2_FRACTIONS = (1.0 / 3.0, 2.0 / 3.0)
 # Largest accepted batch_size.  Runs use at most 512; the bound stops a
 # mistyped size before a step allocates arrays that cannot fit in memory.
 MAX_BATCH_SIZE = 65536
 LAMBDA_MODES = ("fixed", "ramp")
-# Config fields that must be finite numbers (tau may also be None).
-_FLOAT_FIELDS = (
-    "tau",
-    "expansion_fraction",
-    "v2_fraction_first",
-    "v2_fraction_second",
-    "lr_extractor",
-    "lr_heads",
-    "lambda_value",
-    "augment_noise",
-    "w_ce",
-    "w_kd",
-    "w_ad",
-)
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,6 @@ class TrainConfig:
     scheme: str = "v1"
     tau: float | None = 0.9  # None: teachers are the raw T=1 softmax
     expansion_fraction: float = 0.5
-    v2_fraction_first: float = 1.0 / 3.0
-    v2_fraction_second: float = 2.0 / 3.0
     episodes: int = 25
     batch_size: int = 32
     lr_extractor: float = 5e-4
@@ -91,18 +81,23 @@ class TrainConfig:
     augment_noise: float = 0.1
     selection_policy: str = "class_balanced"
     seed: int = 0
-    w_ce: float = 1.0
     w_kd: float = 1.0
-    w_ad: float = 1.0
     hidden_dim: int = 64
     disc_hidden: int = 64
-    pseudo_source_adversarial_domain: str = "source"
 
     def validate(self, n_classes: int | None = None):
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigInvalidError(f"{name} must be a finite number, got {value}")
+        # A field with an int default takes ints, one with a float default
+        # real numbers; bools are neither, and only tau may be None.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = type(f.default)
+            if value is None and f.name == "tau":
+                continue
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if kind is int and not (real and isinstance(value, int)):
+                raise ConfigInvalidError(f"{f.name} must be an integer, got {value!r}")
+            if kind is float and not (real and math.isfinite(value)):
+                raise ConfigInvalidError(f"{f.name} must be a finite number, got {value!r}")
         if self.scheme not in SCHEMES:
             raise ConfigInvalidError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.tau is not None:
@@ -112,10 +107,9 @@ class TrainConfig:
                 raise ConfigInvalidError(
                     f"tau must exceed 1/K = {1.0 / n_classes:.4f}, got {self.tau}"
                 )
-        for name in ("expansion_fraction", "v2_fraction_first", "v2_fraction_second"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ConfigInvalidError(f"{name} must lie in [0, 1], got {value}")
+        if not (0.0 <= self.expansion_fraction <= 1.0):
+            raise ConfigInvalidError(f"expansion_fraction must lie in [0, 1], got "
+                                     f"{self.expansion_fraction}")
         if self.seed < 0:
             raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
         if self.episodes < 1:
@@ -140,17 +134,10 @@ class TrainConfig:
             raise ConfigInvalidError(
                 f"selection_policy must be one of {POLICIES}, got {self.selection_policy!r}"
             )
-        for name in ("w_ce", "w_kd", "w_ad"):
-            if getattr(self, name) < 0.0:
-                raise ConfigInvalidError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.w_ce == 0.0 and self.w_kd == 0.0 and self.w_ad == 0.0:
-            raise ConfigInvalidError("at least one loss weight must be positive")
+        if self.w_kd < 0.0:
+            raise ConfigInvalidError(f"w_kd must be >= 0, got {self.w_kd}")
         if self.hidden_dim < 1 or self.disc_hidden < 1:
             raise ConfigInvalidError("layer widths must be >= 1")
-        if self.pseudo_source_adversarial_domain not in ("source", "target"):
-            raise ConfigInvalidError(
-                "pseudo_source_adversarial_domain must be 'source' or 'target'"
-            )
 
 
 @dataclass
@@ -342,15 +329,11 @@ def _single_run(
 
     # Row-aligned with ``expanded`` (the source rows, then the selected
     # target rows) and ``target_train``, so each batch gathers its teacher
-    # rows and domain labels with the indices that gather features.
+    # rows with the indices that gather features.
     teacher_src = np.concatenate(
         [teacher_source.probs, teacher_target.probs[selection.rows]], axis=0
     )
     teacher_tgt = teacher_target.probs
-    pseudo_domain = float(config.pseudo_source_adversarial_domain == "source")
-    src_adversarial = np.concatenate(
-        [np.ones(len(source)), np.full(len(selection), pseudo_domain)]
-    )
 
     src_half = math.ceil(config.batch_size / 2)
     tgt_half = config.batch_size // 2
@@ -366,9 +349,12 @@ def _single_run(
 
     # Every batch is laid out as [source, target, augmented source,
     # augmented target] halves, so its domain masks are fixed for the run.
+    # Pseudo-source rows are source data, so ``source_rows`` is also the
+    # discriminator's domain labels.
     ce_mask = np.array(([True] * src_half + [False] * tgt_half) * 2)
     source_rows = ce_mask.astype(np.float64).reshape(-1, 1)
     domain_masks = {"source": source_rows, "target": 1.0 - source_rows}
+    tgt_blank = np.full(tgt_half, -1, dtype=np.int64)
 
     labels = _evaluation_labels(target)
     metrics: list[EpisodeMetrics] = []
@@ -381,31 +367,18 @@ def _single_run(
                 (src_half + tgt_half, source.feature_dim)
             ) * config.augment_noise
 
-            src_feats = expanded.features[src_idx]
-            tgt_feats = target_train.features[tgt_idx]
-            batch_x = np.concatenate(
-                [
-                    src_feats,
-                    tgt_feats,
-                    src_feats + noise[:src_half],
-                    tgt_feats + noise[src_half:],
-                ],
-                axis=0,
-            )
-            src_labels = expanded.labels[src_idx]
-            tgt_blank = np.full(tgt_half, -1, dtype=np.int64)
-            batch_labels = np.concatenate([src_labels, tgt_blank, src_labels, tgt_blank])
+            x = np.concatenate([expanded.features[src_idx], target_train.features[tgt_idx]])
+            batch_x = np.concatenate([x, x + noise])
+            labels_x = np.concatenate([expanded.labels[src_idx], tgt_blank])
+            batch_labels = np.concatenate([labels_x, labels_x])
             teacher_rows = None
             if config.w_kd > 0.0:
-                src_rows, tgt_rows = teacher_src[src_idx], teacher_tgt[tgt_idx]
-                teacher_rows = np.concatenate([src_rows, tgt_rows, src_rows, tgt_rows])
-
-            half_labels = np.concatenate([src_adversarial[src_idx], np.zeros(tgt_half)])
-            domain_labels = np.concatenate([half_labels, half_labels]).reshape(-1, 1)
+                teacher_x = np.concatenate([teacher_src[src_idx], teacher_tgt[tgt_idx]])
+                teacher_rows = np.concatenate([teacher_x, teacher_x])
 
             l_ce, l_kd, l_ad = _train_step(
                 config, params, grad, optimizer, batch_x, batch_labels, ce_mask,
-                domain_masks, teacher_rows, domain_labels,
+                domain_masks, teacher_rows, source_rows,
                 lambda_at(config, global_step, total_steps),
             )
             step_ce.append(l_ce)
@@ -461,27 +434,18 @@ def _train_step(
     x = tape.leaf(batch_x)
     features, _, probs = forward_on_tape(nodes, params, x, domain_masks)
 
-    terms: list[ad.Node] = []
-    l_ce = l_kd = l_ad = 0.0
-    if config.w_ce > 0.0:
-        ce_node = classification_loss_node(probs, batch_labels, ce_mask)
-        l_ce = float(ce_node.value[0, 0])
-        terms.append(ce_node if config.w_ce == 1.0 else ad.scale(ce_node, config.w_ce))
+    total = classification_loss_node(probs, batch_labels, ce_mask)
+    l_ce = float(total.value[0, 0])
+    l_kd = 0.0
     if config.w_kd > 0.0:
         kd_node = kd_loss_node(probs, teacher_rows)
         l_kd = float(kd_node.value[0, 0])
-        terms.append(kd_node if config.w_kd == 1.0 else ad.scale(kd_node, config.w_kd))
-    both_domains = 0.0 < domain_labels.sum() < domain_labels.shape[0]
-    if config.w_ad > 0.0 and both_domains:
-        joint = ad.outer_rows(features, probs)
-        d_hat = discriminate_on_tape(nodes, joint, lam)
-        ad_node = adversarial_loss_node(d_hat, domain_labels)
-        l_ad = float(ad_node.value[0, 0])
-        terms.append(ad_node if config.w_ad == 1.0 else ad.scale(ad_node, config.w_ad))
-
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
+        total = ad.add(total, kd_node if config.w_kd == 1.0 else ad.scale(kd_node, config.w_kd))
+    joint = ad.outer_rows(features, probs)
+    d_hat = discriminate_on_tape(nodes, joint, lam)
+    ad_node = adversarial_loss_node(d_hat, domain_labels)
+    l_ad = float(ad_node.value[0, 0])
+    total = ad.add(total, ad_node)
     ad.backward(tape, total)
     optimizer.step(grad)
     return l_ce, l_kd, l_ad
@@ -520,7 +484,7 @@ def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) ->
         source,
         target,
         run_tag="run1",
-        fraction=config.v2_fraction_first,
+        fraction=V2_FRACTIONS[0],
         teachers=teachers,
     )
     previous = SoftLabelSet(probs=run1.prediction_probs, sample_ids=run1.prediction_ids)
@@ -531,7 +495,7 @@ def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) ->
         source,
         target,
         run_tag="run2",
-        fraction=config.v2_fraction_second,
+        fraction=V2_FRACTIONS[1],
         scores_override=scores,
         episode_offset=config.episodes,
         teachers=teachers,

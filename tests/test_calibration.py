@@ -22,6 +22,7 @@ from swguide.errors import (
     EmptyDomainError,
     InfeasibleError,
     NonFiniteError,
+    NotBracketedError,
     UnknownSampleIdError,
 )
 
@@ -180,6 +181,18 @@ def test_solver_rejects_tau_outside_unit_interval():
     target = lm([[1.0, 0.0]])
     with pytest.raises(ValueError):
         solve_temperature(source, target, 1.5)
+
+
+@pytest.mark.parametrize(
+    "gap, message",
+    [(1e-15, "no temperature above 1e-12"), (1e15, "no temperature below 1e12")],
+)
+def test_solver_raises_not_bracketed_beyond_its_search_range(gap, message):
+    # Feasible for tau = 0.9 (no ties), but reached only at T below 1e-12
+    # for a tiny score gap, or above 1e12 for a huge one.
+    scores = lm([[0.0, gap], [gap, 0.0]])
+    with pytest.raises(NotBracketedError, match=message):
+        solve_temperature(scores, scores, 0.9)
 
 
 @pytest.mark.parametrize("seed", range(8))

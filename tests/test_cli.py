@@ -93,29 +93,29 @@ def test_gen_class_angle_flag_changes_only_the_target(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _write_ln9_pair(tmp_path):
-    row = [np.log(9.0), 0.0]
-    source = DomainDataset(
-        sample_ids=("s0",),
-        roles=("source",),
-        labels=np.array([0], dtype=np.int64),
-        features=np.zeros((1, 2)),
-        zeroshot=np.array([row]),
-    )
-    target = DomainDataset(
-        sample_ids=("t0",),
-        roles=("target",),
-        labels=np.array([-1], dtype=np.int64),
-        features=np.zeros((1, 2)),
-        zeroshot=np.array([row]),
-    )
-    write_dataset(tmp_path / "s.txt", source)
-    write_dataset(tmp_path / "t.txt", target)
-    return str(tmp_path / "s.txt"), str(tmp_path / "t.txt")
+def _write_pair(tmp_path, zeroshot):
+    """A source and a target file whose zero-shot scores are both ``zeroshot``."""
+    zeroshot = np.asarray(zeroshot, dtype=np.float64)
+    n = len(zeroshot)
+    paths = []
+    for role, label in (("source", 0), ("target", -1)):
+        path = tmp_path / f"{role[0]}.txt"
+        write_dataset(
+            path,
+            DomainDataset(
+                sample_ids=tuple(f"{role[0]}{i}" for i in range(n)),
+                roles=(role,) * n,
+                labels=np.full(n, label, dtype=np.int64),
+                features=np.zeros((n, 2)),
+                zeroshot=zeroshot,
+            ),
+        )
+        paths.append(str(path))
+    return paths
 
 
 def test_calibrate_prints_the_unit_temperature_fixture(tmp_path, capsys):
-    source, target = _write_ln9_pair(tmp_path)
+    source, target = _write_pair(tmp_path, [[np.log(9.0), 0.0]])
     code = main(["calibrate", "--source", source, "--target", target, "--tau", "0.9"])
     assert code == 0
     out = capsys.readouterr().out.splitlines()
@@ -125,28 +125,20 @@ def test_calibrate_prints_the_unit_temperature_fixture(tmp_path, capsys):
 
 
 def test_calibrate_infeasible_exits_with_error(tmp_path, capsys):
-    source = DomainDataset(
-        sample_ids=("s0",),
-        roles=("source",),
-        labels=np.array([0], dtype=np.int64),
-        features=np.zeros((1, 2)),
-        zeroshot=np.zeros((1, 2)),  # tied scores cap the mean at 1/2
-    )
-    target = DomainDataset(
-        sample_ids=("t0",),
-        roles=("target",),
-        labels=np.array([-1], dtype=np.int64),
-        features=np.zeros((1, 2)),
-        zeroshot=np.zeros((1, 2)),
-    )
-    write_dataset(tmp_path / "s.txt", source)
-    write_dataset(tmp_path / "t.txt", target)
-    code = main(
-        ["calibrate", "--source", str(tmp_path / "s.txt"),
-         "--target", str(tmp_path / "t.txt")]
-    )
+    # Tied scores cap the mean at 1/2.
+    source, target = _write_pair(tmp_path, np.zeros((1, 2)))
+    code = main(["calibrate", "--source", source, "--target", target])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_calibrate_with_no_temperature_in_range_exits_2(tmp_path, capsys):
+    # Scores 1e-15 apart stay near 1/2 even at the coldest temperature tried.
+    source, target = _write_pair(tmp_path, [[0.0, 1e-15], [1e-15, 0.0]])
+    code = main(["calibrate", "--source", source, "--target", target])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no temperature above 1e-12" in err
 
 
 def test_calibrate_tau_at_most_one_over_k_names_the_limit(tmp_path, capsys):
@@ -236,6 +228,32 @@ def test_train_rejects_unknown_config_key(bench, tmp_path, capsys):
     )
     assert code == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "w_ce=1.0",
+        "w_ad=1.0",
+        "v2_fraction_first=0.3333333333333333",
+        "v2_fraction_second=0.6666666666666666",
+        "pseudo_source_adversarial_domain=source",
+    ],
+)
+def test_a_removed_config_key_is_unknown_and_has_no_flag(bench, tmp_path, capsys, line):
+    source, target = bench
+    key = line.partition("=")[0]
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(line + "\n")
+    code = main(
+        ["train", "--source", source, "--target", target,
+         "--config", str(config_path)]
+    )
+    assert code == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    assert "--" + key.replace("_", "-") not in capsys.readouterr().out
 
 
 def test_train_rejects_invalid_config_value(bench, capsys):
@@ -547,6 +565,25 @@ def test_empty_sweep_lists_exit_2_naming_the_flag(bench, capsys, command, extra,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, flag",
+    [
+        ("sweep-expansion", ("--fractions", "0.5,0.50"), "--fractions"),
+        ("sweep-expansion", ("--fractions", "0.5", "--seeds", "0,1,00"), "--seeds"),
+        ("sweep-tau", ("--taus", "none,0.9,None"), "--taus"),
+    ],
+    ids=["fractions", "seeds", "taus"],
+)
+def test_repeated_sweep_values_exit_2_naming_the_flag(bench, capsys, command, extra, flag):
+    source, target = bench
+    code = main([command, "--source", source, "--target", target,
+                 "--episodes", "1", "--batch-size", "8", *extra])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and f"{flag} repeats a value" in err
+    assert "# config" not in out
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -27,6 +27,7 @@ from swguide import autodiff as ad
 from swguide.norm_adapt import adapt_model
 from swguide.trainer import (
     MAX_BATCH_SIZE,
+    V2_FRACTIONS,
     Adam,
     TrainConfig,
     _IndexStream,
@@ -73,7 +74,6 @@ def small_config(**overrides):
         dict(tau=0.0),
         dict(tau=1.0),
         dict(expansion_fraction=1.5),
-        dict(v2_fraction_first=-0.1),
         dict(episodes=0),
         dict(batch_size=1),
         dict(lr_extractor=0.0),
@@ -82,22 +82,45 @@ def small_config(**overrides):
         dict(lambda_value=-0.5),
         dict(augment_noise=-0.1),
         dict(selection_policy="alphabetical"),
-        dict(w_ce=-1.0),
-        dict(w_ce=0.0, w_kd=0.0, w_ad=0.0),
+        dict(w_kd=-1.0),
         dict(hidden_dim=0),
-        dict(pseudo_source_adversarial_domain="both"),
         dict(lr_extractor=float("nan")),
         dict(lr_heads=float("inf")),
         dict(lambda_value=float("nan")),
         dict(augment_noise=float("inf")),
         dict(w_kd=float("nan")),
-        dict(v2_fraction_second=float("nan")),
         dict(seed=-1),
     ],
 )
 def test_config_validation_rejects_bad_values(overrides):
     with pytest.raises(ConfigInvalidError):
         TrainConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("episodes", 1.5),
+        ("batch_size", 32.0),
+        ("hidden_dim", "64"),
+        ("disc_hidden", None),
+        ("seed", 1.5),
+        ("seed", True),
+        ("tau", "0.9"),
+        ("expansion_fraction", None),
+        ("lr_extractor", "5e-4"),
+        ("lambda_value", [1.0]),
+        ("augment_noise", 1j),
+        ("w_kd", False),
+    ],
+)
+def test_config_validation_rejects_a_mistyped_field_by_name(field, value):
+    with pytest.raises(ConfigInvalidError, match=field):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_config_validation_accepts_ints_for_float_fields():
+    TrainConfig(tau=None, expansion_fraction=1, lr_heads=np.float64(0.01), w_kd=0).validate()
 
 
 def test_config_batch_size_has_a_documented_upper_bound():
@@ -330,8 +353,8 @@ def test_v2_concatenates_two_runs_and_persists_predictions():
     assert len(result.metrics) == 4  # 2 episodes per run
     assert [m.episode for m in result.metrics] == [0, 1, 2, 3]
     assert result.first_run is not None
-    assert result.fraction == config.v2_fraction_second
-    assert result.first_run.fraction == config.v2_fraction_first
+    assert result.fraction == V2_FRACTIONS[1]
+    assert result.first_run.fraction == V2_FRACTIONS[0]
     assert result.first_run.prediction_ids == target.sample_ids
     assert result.first_run.prediction_probs.shape == result.prediction_probs.shape
 

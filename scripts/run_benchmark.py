@@ -45,9 +45,9 @@ def main() -> int:
     parser.add_argument(
         "--seeds", type=parse_seeds, default="0-4", help="range 0-4 or list 0,2,5"
     )
-    parser.add_argument("--episodes", type=int, default=25)
-    parser.add_argument("--tau", type=float, default=0.9)
-    parser.add_argument("--fraction", type=float, default=0.5)
+    parser.add_argument("--episodes", type=int, default=TrainConfig.episodes)
+    parser.add_argument("--tau", type=float, default=TrainConfig.tau)
+    parser.add_argument("--fraction", type=float, default=TrainConfig.expansion_fraction)
     parser.add_argument("--out", default=None, help="directory for run artifacts")
     args = parser.parse_args()
 

@@ -34,7 +34,7 @@ from .expansion import (
 )
 from .model import ModelParams, NormLayerState, forward, init_params
 from .norm_adapt import adapt_model, adjust_params, estimate_stats
-from .trainer import RunResult, TrainConfig, evaluate, run, run_v2
+from .trainer import RunResult, TrainConfig, evaluate, run
 
 __version__ = "0.1.0"
 
@@ -69,5 +69,4 @@ __all__ = [
     "TrainConfig",
     "evaluate",
     "run",
-    "run_v2",
 ]

@@ -31,6 +31,7 @@ import weakref
 import numpy as np
 
 from .errors import (
+    ConfigInvalidError,
     DoubleBackwardError,
     NonFiniteError,
     NotScalarError,
@@ -268,7 +269,7 @@ def softmax_numerators(logits, temperature: float = 1.0) -> np.ndarray:
     exactly 1.0."""
     t = float(temperature)
     if t <= 0.0:
-        raise ValueError(f"softmax temperature must be positive, got {t}")
+        raise ConfigInvalidError(f"softmax temperature must be positive, got {t}")
     z = np.asarray(logits, dtype=np.float64) / t
     z -= z.max(axis=1, keepdims=True)
     return np.exp(z, out=z)
@@ -366,7 +367,7 @@ def gradient_reverse(a: Node, lam: float) -> Node:
     The node's value is its input's array itself, not a copy."""
     lam = float(lam)
     if lam < 0.0:
-        raise ValueError(f"reversal strength must be >= 0, got {lam}")
+        raise ConfigInvalidError(f"reversal strength must be >= 0, got {lam}")
     return a.tape._record(a.value, "gradient_reverse", (a,), aux=lam, checked=True)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import PROB_FLOOR, softmax_numerators, stable_softmax
 from .errors import (
     ClassMismatchError,
+    ConfigInvalidError,
     EmptyDomainError,
     InfeasibleError,
     NonFiniteError,
@@ -144,7 +145,7 @@ def solve_temperature(source, target, tau: float = DEFAULT_TAU) -> CalibrationRe
     source, target = _check_pair(source, target)
     tau = float(tau)
     if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+        raise ConfigInvalidError(f"tau must lie in (0, 1), got {tau}")
     floor = 1.0 / source.shape[1]
     if tau <= floor:
         raise InfeasibleError(

@@ -12,6 +12,7 @@ data, so a rejected configuration is never printed as if accepted.
 from __future__ import annotations
 
 import argparse
+import inspect
 import multiprocessing
 import os
 import sys
@@ -19,7 +20,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .calibration import solve_temperature
+from .calibration import DEFAULT_TAU, solve_temperature
 from .data import (
     SyntheticSpec,
     _read_lines,
@@ -143,19 +144,27 @@ def _train_job(config: TrainConfig, source_path, target_path, out_dir) -> RunRes
 # ---------------------------------------------------------------------------
 
 
+# gen's settings (``--feature-dim`` sets ``feature_dim``) and the
+# ``SyntheticSpec.standard`` parameters they fill; each flag's type and
+# default are that parameter's.
+_GEN_SETTINGS = (
+    ("seed", "seed"),
+    ("classes", "n_classes"),
+    ("feature_dim", "feature_dim"),
+    ("per_class", "per_class"),
+    ("mean_scale", "mean_scale"),
+    ("class_std", "class_std"),
+    ("shift", "shift_magnitude"),
+    ("rotation", "rotation"),
+    ("noise", "noise_scale"),
+    ("class_angle", "class_angle"),
+    ("oracle_sharpness", "oracle_sharpness"),
+)
+
+
 def _cmd_gen(args) -> int:
     spec = SyntheticSpec.standard(
-        seed=args.seed,
-        n_classes=args.classes,
-        feature_dim=args.feature_dim,
-        per_class=args.per_class,
-        mean_scale=args.mean_scale,
-        class_std=args.class_std,
-        shift_magnitude=args.shift,
-        rotation=args.rotation,
-        noise_scale=args.noise,
-        class_angle=args.class_angle,
-        oracle_sharpness=args.oracle_sharpness,
+        **{param: getattr(args, key) for key, param in _GEN_SETTINGS}
     )
     source, target = make_benchmark(spec)
     write_dataset(args.out_source, source)
@@ -164,13 +173,7 @@ def _cmd_gen(args) -> int:
         (target.zeroshot.argmax(axis=1) == target.labels).mean()
     )
     print("# config")
-    print(
-        f"seed={args.seed} classes={args.classes} feature_dim={args.feature_dim} "
-        f"per_class={args.per_class} mean_scale={args.mean_scale} "
-        f"class_std={args.class_std} shift={args.shift} rotation={args.rotation} "
-        f"noise={args.noise} class_angle={args.class_angle} "
-        f"oracle_sharpness={args.oracle_sharpness}"
-    )
+    print(" ".join(f"{key}={getattr(args, key)}" for key, _ in _GEN_SETTINGS))
     print("# result")
     print(f"source={args.out_source} n={len(source)}")
     print(f"target={args.out_target} n={len(target)}")
@@ -315,23 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic source/target pair")
     gen.add_argument("--out-source", required=True)
     gen.add_argument("--out-target", required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--classes", type=int, default=5)
-    gen.add_argument("--feature-dim", type=int, default=20)
-    gen.add_argument("--per-class", type=int, default=40)
-    gen.add_argument("--mean-scale", type=float, default=3.0)
-    gen.add_argument("--class-std", type=float, default=1.0)
-    gen.add_argument("--shift", type=float, default=1.5)
-    gen.add_argument("--rotation", type=float, default=0.3)
-    gen.add_argument("--noise", type=float, default=0.8)
-    gen.add_argument("--class-angle", type=float, default=1.3)
-    gen.add_argument("--oracle-sharpness", type=float, default=0.1)
+    standard = inspect.signature(SyntheticSpec.standard).parameters
+    for key, param in _GEN_SETTINGS:
+        default = standard[param].default
+        gen.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=default)
     gen.set_defaults(func=_cmd_gen)
 
     cal = sub.add_parser("calibrate", help="solve the soft-label temperature")
     cal.add_argument("--source", required=True)
     cal.add_argument("--target", required=True)
-    cal.add_argument("--tau", type=float, default=0.9)
+    cal.add_argument("--tau", type=float, default=DEFAULT_TAU)
     cal.set_defaults(func=_cmd_calibrate)
 
     train = sub.add_parser("train", help="run one training scheme end to end")

@@ -19,6 +19,7 @@ from .calibration import SoftLabelSet
 from .data import DomainDataset
 from .errors import (
     ClassMismatchError,
+    ConfigInvalidError,
     FractionOutOfRangeError,
     IdMismatchError,
     UnknownSampleIdError,
@@ -80,7 +81,7 @@ def select_pseudo_source(
     if not (0.0 <= fraction <= 1.0):
         raise FractionOutOfRangeError(f"fraction must lie in [0, 1], got {fraction}")
     if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
+        raise ConfigInvalidError(f"policy must be one of {POLICIES}, got {policy!r}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != len(sample_ids):
         raise ClassMismatchError(

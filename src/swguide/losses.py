@@ -2,8 +2,8 @@
 
 Each loss is a tape-node builder: it records a 1x1 node on the tape of
 its input, so gradients flow through it inside the training step.  The
-total objective is their unweighted sum; the trainer may scale individual
-terms for ablations, with every weight defaulting to 1.
+total objective is their sum; the trainer scales only the distillation
+term, by ``TrainConfig.w_kd`` (1 by default, 0 for ``cdan_only``).
 """
 
 from __future__ import annotations

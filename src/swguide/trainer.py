@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -96,6 +97,11 @@ class TrainConfig:
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if kind is int and not (real and isinstance(value, int)):
                 raise ConfigInvalidError(f"{f.name} must be an integer, got {value!r}")
+            if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+                # math.isfinite would overflow, and repr may exceed the digit limit.
+                raise ConfigInvalidError(
+                    f"{f.name} must fit a float, got an integer of {value.bit_length()} bits"
+                )
             if kind is float and not (real and math.isfinite(value)):
                 raise ConfigInvalidError(f"{f.name} must be a finite number, got {value!r}")
         if self.scheme not in SCHEMES:
@@ -277,44 +283,41 @@ def build_teachers(
     return temperature, teacher_source, teacher_target
 
 
-def _single_run(
-    config: TrainConfig,
-    source: DomainDataset,
-    target: DomainDataset,
-    run_tag: str = "run1",
-    fraction: float | None = None,
-    scores_override=None,
-    episode_offset: int = 0,
-    teachers=None,
-) -> RunResult:
-    """One calibrate → expand → adapt → train cycle; the heart of every scheme.
-
-    ``scores_override`` is an (n_target, K) score matrix row-aligned with
-    ``target`` (default: the target teacher).  ``teachers`` is the result
-    of :func:`build_teachers` for these inputs, when the caller already has
-    it.
-    """
-    if fraction is None:
-        fraction = config.expansion_fraction
-    target_train = target.without_labels()
-
-    if teachers is None:
-        teachers = build_teachers(config, source, target)
-    temperature, teacher_source, teacher_target = teachers
-    scores = teacher_target.probs if scores_override is None else scores_override
-    selection = select_pseudo_source(
-        scores, target.sample_ids, fraction, config.selection_policy
-    )
-    expanded = expand_dataset(source, target_train, selection)
-
-    init_rng = rng_for(config.seed, "init", run_tag)
-    params = init_params(
-        init_rng,
+def _untrained_params(config: TrainConfig, source: DomainDataset, run_tag: str) -> ModelParams:
+    """The seeded model a run starts from, before norm adaptation."""
+    return init_params(
+        rng_for(config.seed, "init", run_tag),
         input_dim=source.feature_dim,
         n_classes=source.n_classes,
         hidden_dim=config.hidden_dim,
         disc_hidden=config.disc_hidden,
     )
+
+
+def _single_run(
+    config: TrainConfig,
+    source: DomainDataset,
+    target: DomainDataset,
+    teachers: tuple[float, SoftLabelSet, SoftLabelSet],
+    fraction: float,
+    scores: np.ndarray,
+    run_tag: str,
+    episode_offset: int,
+) -> RunResult:
+    """One expand → adapt → train cycle; the heart of every trained scheme.
+
+    ``teachers`` is :func:`build_teachers`'s result for these inputs, and
+    ``scores`` an (n_target, K) matrix, row-aligned with ``target``, that
+    ranks the target rows for expansion at ``fraction``.
+    """
+    temperature, teacher_source, teacher_target = teachers
+    target_train = target.without_labels()
+    selection = select_pseudo_source(
+        scores, target.sample_ids, fraction, config.selection_policy
+    )
+    expanded = expand_dataset(source, target_train, selection)
+
+    params = _untrained_params(config, source, run_tag)
     # Trainable arrays become views of one flat vector, and each step's
     # gradients land in one flat vector, so Adam is a few vector ops.
     flat, params = pack_trainable(adapt_model(params, expanded, target_train))
@@ -371,10 +374,8 @@ def _single_run(
             batch_x = np.concatenate([x, x + noise])
             labels_x = np.concatenate([expanded.labels[src_idx], tgt_blank])
             batch_labels = np.concatenate([labels_x, labels_x])
-            teacher_rows = None
-            if config.w_kd > 0.0:
-                teacher_x = np.concatenate([teacher_src[src_idx], teacher_tgt[tgt_idx]])
-                teacher_rows = np.concatenate([teacher_x, teacher_x])
+            teacher_x = np.concatenate([teacher_src[src_idx], teacher_tgt[tgt_idx]])
+            teacher_rows = np.concatenate([teacher_x, teacher_x])
 
             l_ce, l_kd, l_ad = _train_step(
                 config, params, grad, optimizer, batch_x, batch_labels, ce_mask,
@@ -421,7 +422,7 @@ def _train_step(
     batch_labels: np.ndarray,
     ce_mask: np.ndarray,
     domain_masks: dict,
-    teacher_rows: np.ndarray | None,
+    teacher_rows: np.ndarray,
     domain_labels: np.ndarray,
     lam: float,
 ) -> tuple[float, float, float]:
@@ -455,15 +456,8 @@ def _zeroshot_only(config, source, target) -> RunResult:
     labels = _evaluation_labels(target)
     probs = ad.stable_softmax(target.zeroshot, 1.0)
     accuracy = _accuracy(probs, labels)
-    params = init_params(
-        rng_for(config.seed, "init", "run1"),
-        input_dim=source.feature_dim,
-        n_classes=source.n_classes,
-        hidden_dim=config.hidden_dim,
-        disc_hidden=config.disc_hidden,
-    )
     return RunResult(
-        params=params,
+        params=_untrained_params(config, source, "run1"),
         metrics=[EpisodeMetrics(0, 0.0, 0.0, 0.0, accuracy)],
         prediction_ids=target.sample_ids,
         prediction_probs=probs,
@@ -475,50 +469,29 @@ def _zeroshot_only(config, source, target) -> RunResult:
     )
 
 
-def run_v2(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> RunResult:
-    """Two-run scheme: run-1 predictions are mixed into run-2 scores."""
+def run(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> RunResult:
+    """Check the inputs, then run the scheme; see the module docstring for
+    the catalogue.  The only library entry point that trains."""
+    config.validate(n_classes=source.n_classes)
+    check_pair(source, target)
+    if config.scheme == "zeroshot_only":
+        return _zeroshot_only(config, source, target)
+    if config.scheme == "weak_only":
+        config = replace(config, expansion_fraction=0.0)
+    elif config.scheme == "cdan_only":
+        config = replace(config, expansion_fraction=0.0, w_kd=0.0)
     teachers = build_teachers(config, source, target)
-    _, _, teacher_target = teachers
-    run1 = _single_run(
-        config,
-        source,
-        target,
-        run_tag="run1",
-        fraction=V2_FRACTIONS[0],
-        teachers=teachers,
-    )
+    teacher_target = teachers[2]
+    if config.scheme != "v2":
+        return _single_run(config, source, target, teachers, config.expansion_fraction,
+                           teacher_target.probs, "run1", 0)
+    # v2: run 1's predictions, mixed with the target teacher, re-rank the
+    # target rows for run 2, which restarts from fresh parameters.
+    run1 = _single_run(config, source, target, teachers, V2_FRACTIONS[0],
+                       teacher_target.probs, "run1", 0)
     previous = SoftLabelSet(probs=run1.prediction_probs, sample_ids=run1.prediction_ids)
-
-    scores = mix_scores(previous, teacher_target)
-    run2 = _single_run(
-        config,
-        source,
-        target,
-        run_tag="run2",
-        fraction=V2_FRACTIONS[1],
-        scores_override=scores,
-        episode_offset=config.episodes,
-        teachers=teachers,
-    )
+    run2 = _single_run(config, source, target, teachers, V2_FRACTIONS[1],
+                       mix_scores(previous, teacher_target), "run2", config.episodes)
     run2.metrics = run1.metrics + run2.metrics
     run2.first_run = run1
     return run2
-
-
-def run(config: TrainConfig, source: DomainDataset, target: DomainDataset) -> RunResult:
-    """Dispatch on the scheme; see the module docstring for the catalogue."""
-    config.validate(n_classes=source.n_classes)
-    check_pair(source, target)
-    if config.scheme == "v1":
-        return _single_run(config, source, target)
-    if config.scheme == "v2":
-        return run_v2(config, source, target)
-    if config.scheme == "weak_only":
-        effective = replace(config, expansion_fraction=0.0)
-        return _single_run(effective, source, target)
-    if config.scheme == "cdan_only":
-        effective = replace(config, expansion_fraction=0.0, w_kd=0.0)
-        return _single_run(effective, source, target)
-    if config.scheme == "zeroshot_only":
-        return _zeroshot_only(config, source, target)
-    raise ConfigInvalidError(f"unhandled scheme {config.scheme!r}")

@@ -15,6 +15,7 @@ from scipy import special
 from swguide import autodiff as ad
 from swguide.data import rng_for
 from swguide.errors import (
+    ConfigInvalidError,
     DoubleBackwardError,
     GuidanceError,
     NonFiniteError,
@@ -118,7 +119,7 @@ def test_softmax_hand_fixture():
 
 def test_softmax_rejects_bad_temperature():
     tape = ad.Tape()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalidError):
         ad.softmax_rows(tape.leaf([[1.0, 2.0]]), 0.0)
 
 
@@ -157,7 +158,7 @@ def test_gradient_reverse_forward_identity():
     x = rng.standard_normal((3, 4))
     tape = ad.Tape()
     np.testing.assert_array_equal(ad.gradient_reverse(tape.leaf(x), 1.0).value, x)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalidError):
         ad.gradient_reverse(tape.leaf(x), -0.5)
 
 

@@ -19,6 +19,7 @@ from swguide.calibration import (
 from swguide.data import rng_for
 from swguide.errors import (
     ClassMismatchError,
+    ConfigInvalidError,
     EmptyDomainError,
     InfeasibleError,
     NonFiniteError,
@@ -179,8 +180,17 @@ def test_solver_tau_at_most_one_over_k_is_infeasible():
 def test_solver_rejects_tau_outside_unit_interval():
     source = lm([[1.0, 0.0]])
     target = lm([[1.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalidError):
         solve_temperature(source, target, 1.5)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0])
+def test_sharpen_and_mwp_reject_a_non_positive_temperature(temperature):
+    logits = lm([[1.0, 0.0]])
+    with pytest.raises(ConfigInvalidError, match="temperature must be positive"):
+        sharpen(logits, ("a",), temperature)
+    with pytest.raises(ConfigInvalidError, match="temperature must be positive"):
+        mean_winning_probability(logits, logits, temperature)
 
 
 @pytest.mark.parametrize(

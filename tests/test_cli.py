@@ -6,6 +6,8 @@ import pytest
 from swguide.cli import main
 from swguide.data import (
     DomainDataset,
+    SyntheticSpec,
+    make_benchmark,
     read_array_file,
     read_dataset,
     read_metrics,
@@ -68,6 +70,23 @@ def test_gen_writes_parseable_deterministic_files(tmp_path, capsys):
     assert main(args2) == 0
     assert (tmp_path / "s.txt").read_bytes() == (tmp_path / "s2.txt").read_bytes()
     assert (tmp_path / "t.txt").read_bytes() == (tmp_path / "t2.txt").read_bytes()
+
+
+def test_gen_defaults_are_the_standard_spec(tmp_path, capsys):
+    args = ["gen", "--out-source", str(tmp_path / "s.txt"),
+            "--out-target", str(tmp_path / "t.txt")]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "# config",
+        "seed=0 classes=5 feature_dim=20 per_class=40 mean_scale=3.0 class_std=1.0 "
+        "shift=1.5 rotation=0.3 noise=0.8 class_angle=1.3 oracle_sharpness=0.1",
+    ]
+    source, target = make_benchmark(SyntheticSpec.standard())
+    write_dataset(tmp_path / "s_ref.txt", source)
+    write_dataset(tmp_path / "t_ref.txt", target)
+    for name in ("s", "t"):
+        expected = (tmp_path / f"{name}_ref.txt").read_bytes()
+        assert (tmp_path / f"{name}.txt").read_bytes() == expected
 
 
 def test_gen_class_angle_flag_changes_only_the_target(tmp_path):

@@ -14,6 +14,7 @@ from swguide.calibration import SoftLabelSet
 from swguide.data import DomainDataset, rng_for
 from swguide.errors import (
     ClassMismatchError,
+    ConfigInvalidError,
     FractionOutOfRangeError,
     IdMismatchError,
     UnknownSampleIdError,
@@ -153,7 +154,7 @@ def test_selection_fraction_out_of_range():
         select_pseudo_source(scores, ids, -0.1)
     with pytest.raises(FractionOutOfRangeError):
         select_pseudo_source(scores, ids, 1.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalidError):
         select_pseudo_source(scores, ids, 0.5, policy="best_effort")
 
 

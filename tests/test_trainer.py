@@ -25,8 +25,10 @@ from swguide.errors import ConfigInvalidError, ShapeMismatchError, UnlabeledErro
 from swguide.model import forward
 from swguide import autodiff as ad
 from swguide.norm_adapt import adapt_model
+from swguide import trainer
 from swguide.trainer import (
     MAX_BATCH_SIZE,
+    SCHEMES,
     V2_FRACTIONS,
     Adam,
     TrainConfig,
@@ -37,7 +39,6 @@ from swguide.trainer import (
     learning_rate_for,
     predict_target,
     run,
-    run_v2,
 )
 
 from helpers import tiny_model
@@ -112,6 +113,9 @@ def test_config_validation_rejects_bad_values(overrides):
         ("lambda_value", [1.0]),
         ("augment_noise", 1j),
         ("w_kd", False),
+        pytest.param("lr_heads", 10**400, id="lr_heads-10**400"),
+        pytest.param("tau", 10**400, id="tau-10**400"),
+        pytest.param("w_kd", 10**5000, id="w_kd-10**5000"),  # beyond repr's digit limit
     ],
 )
 def test_config_validation_rejects_a_mistyped_field_by_name(field, value):
@@ -349,7 +353,7 @@ def test_zeroshot_only_reports_the_oracle_argmax():
 def test_v2_concatenates_two_runs_and_persists_predictions():
     source, target = small_benchmark()
     config = small_config(scheme="v2")
-    result = run_v2(config, source, target)
+    result = run(config, source, target)
     assert len(result.metrics) == 4  # 2 episodes per run
     assert [m.episode for m in result.metrics] == [0, 1, 2, 3]
     assert result.first_run is not None
@@ -367,6 +371,20 @@ def test_v2_first_run_equals_a_plain_v1_at_the_first_fraction():
     )
     assert v2.first_run.metrics == v1.metrics
     np.testing.assert_array_equal(v2.first_run.prediction_probs, v1.prediction_probs)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("overrides", [dict(episodes=0), dict(batch_size=1)],
+                         ids=["episodes-0", "batch_size-1"])
+def test_no_scheme_trains_on_an_invalid_config(monkeypatch, scheme, overrides):
+    def fail(*args):
+        raise AssertionError("trained on an invalid config")
+
+    for name in ("build_teachers", "_single_run", "_zeroshot_only"):
+        monkeypatch.setattr(trainer, name, fail)
+    source, target = small_benchmark()
+    with pytest.raises(ConfigInvalidError, match=next(iter(overrides))):
+        run(small_config(scheme=scheme, **overrides), source, target)
 
 
 def test_run_rejects_invalid_config():

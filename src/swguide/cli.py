@@ -23,7 +23,7 @@ import numpy as np
 from .calibration import DEFAULT_TAU, solve_temperature
 from .data import (
     SyntheticSpec,
-    _read_lines,
+    _text_lines,
     _write_lines,
     make_benchmark,
     read_array_file,
@@ -57,16 +57,17 @@ def _parse_config_value(name: str, raw: str):
 
 def read_config_file(path) -> dict:
     values = {}
-    for line_number, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, raw = line.partition("=")
-        if not sep:
-            raise ConfigInvalidError(
-                f"{path}: line {line_number} is not key=value: {line!r}"
-            )
-        values[key.strip()] = _parse_config_value(key.strip(), raw.strip())
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(_text_lines(handle, path), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            if not sep:
+                raise ConfigInvalidError(
+                    f"{path}: line {line_number} is not key=value: {line!r}"
+                )
+            values[key.strip()] = _parse_config_value(key.strip(), raw.strip())
     return values
 
 

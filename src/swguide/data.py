@@ -9,9 +9,10 @@ both domains.
 
 All file formats are plain comma-separated text.  Floats are written with
 ``repr`` so that write → read round-trips bit-exactly.  Writers format and
-write one row at a time, and the dataset reader streams the file, parsing
-each row straight into preallocated arrays, so no whole-file text, list of
-rows or list of floats is built.
+write one row at a time, and readers stream the file line by line, so no
+whole-file text or list of lines is built; the dataset reader parses each
+row straight into preallocated arrays, so it builds no list of rows or of
+floats either.
 """
 
 from __future__ import annotations
@@ -400,12 +401,6 @@ def _text_lines(handle, path):
         raise ParseError(f"not UTF-8 text: {exc.reason}", path) from None
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; ParseError naming the file if it is not."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return list(_text_lines(handle, path))
-
-
 def _write_lines(path, lines):
     """Write each string of the iterable ``lines`` and a newline, as it comes."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -541,50 +536,6 @@ def write_predictions(path, sample_ids, probs: np.ndarray):
     ))
 
 
-def read_predictions(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a predictions file; entries must lie in [0, 1] and rows sum
-    to 1 within 1e-6.
-
-    Rows already within 1e-12 of unit mass are kept bit-exact;
-    anything looser (but within tolerance) is renormalized.
-    """
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty predictions file", path, 1)
-    header = lines[0].split(",")
-    if len(header) != 2 or header[0] != "id":
-        raise ParseError(f"bad predictions header {lines[0]!r}", path, 1)
-    k = _parse_header_width(header[1], "p:", path, 1)
-
-    ids, rows = [], []
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 1 + k:
-            raise WidthMismatchError(
-                f"row has {len(fields)} fields, header implies {1 + k}", path, line_number
-            )
-        try:
-            row = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(f"bad probability field: {exc}", path, line_number) from None
-        if not ((row >= 0.0) & (row <= 1.0)).all():
-            raise ParseError("a probability lies outside [0, 1]", path, line_number)
-        total = row.sum()
-        if abs(total - 1.0) > 1e-6:
-            raise ParseError(
-                f"row mass {total!r} is not 1 within 1e-6", path, line_number
-            )
-        if abs(total - 1.0) > 1e-12:
-            row = row / total
-        ids.append(fields[0])
-        rows.append(row)
-    if not ids:
-        raise ParseError("predictions file has a header but no rows", path, 1)
-    return tuple(ids), np.array(rows, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class EpisodeMetrics:
     episode: int
@@ -594,45 +545,12 @@ class EpisodeMetrics:
     target_accuracy: float
 
 
-_METRIC_KEYS = ("episode", "l_ce", "l_kd", "l_ad", "target_accuracy")
-
-
 def write_metrics(path, records):
     _write_lines(path, (
         f"episode={rec.episode} l_ce={_fmt(rec.l_ce)} l_kd={_fmt(rec.l_kd)} "
         f"l_ad={_fmt(rec.l_ad)} target_accuracy={_fmt(rec.target_accuracy)}"
         for rec in records
     ))
-
-
-def read_metrics(path) -> list[EpisodeMetrics]:
-    lines = _read_lines(path)
-    records = []
-    for line_number, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        parsed = {}
-        for token in line.split():
-            key, sep, value = token.partition("=")
-            if not sep or key not in _METRIC_KEYS:
-                raise ParseError(f"unexpected metrics token {token!r}", path, line_number)
-            parsed[key] = value
-        if set(parsed) != set(_METRIC_KEYS):
-            missing = sorted(set(_METRIC_KEYS) - set(parsed))
-            raise ParseError(f"missing metrics keys {missing}", path, line_number)
-        try:
-            records.append(
-                EpisodeMetrics(
-                    episode=int(parsed["episode"]),
-                    l_ce=float(parsed["l_ce"]),
-                    l_kd=float(parsed["l_kd"]),
-                    l_ad=float(parsed["l_ad"]),
-                    target_accuracy=float(parsed["target_accuracy"]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad metrics value: {exc}", path, line_number) from None
-    return records
 
 
 ARRAY_FILE_MAGIC = "# swguide arrays v1"
@@ -655,49 +573,52 @@ def write_array_file(path, named_arrays: dict[str, np.ndarray]):
 
 
 def read_array_file(path) -> dict[str, np.ndarray]:
-    lines = _read_lines(path)
-    if not lines or lines[0] != ARRAY_FILE_MAGIC:
-        raise ParseError(f"missing magic line {ARRAY_FILE_MAGIC!r}", path, 1)
-    named: dict[str, np.ndarray] = {}
-    line_number = 1
-    total = len(lines)
-    while line_number < total:
-        header = lines[line_number]
-        line_number += 1
-        if not header:
-            continue
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != "array":
-            raise ParseError(f"expected array header, got {header!r}", path, line_number)
-        name = parts[1]
-        if name in named:
-            raise ParseError(f"duplicate array name {name!r}", path, line_number)
-        try:
-            n_rows, n_cols = int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError(f"bad array dims in {header!r}", path, line_number) from None
-        if n_rows < 0 or n_cols < 0:
-            raise ParseError(f"negative array dims in {header!r}", path, line_number)
-        rows = []
-        for _ in range(n_rows):
-            if line_number >= total:
-                raise ParseError(f"array {name!r} is truncated", path, line_number)
-            fields = lines[line_number].split(",")
+    """Read an array file in one pass over its lines, reporting the first
+    fault in the file; a file whose lines run out inside an array is
+    truncated."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = _text_lines(handle, path)
+        if next(lines, None) != ARRAY_FILE_MAGIC:
+            raise ParseError(f"missing magic line {ARRAY_FILE_MAGIC!r}", path, 1)
+        named: dict[str, np.ndarray] = {}
+        line_number = 1
+        for header in lines:
             line_number += 1
-            if len(fields) != n_cols:
-                raise WidthMismatchError(
-                    f"array {name!r} row has {len(fields)} fields, expected {n_cols}",
-                    path,
-                    line_number,
-                )
+            if not header:
+                continue
+            parts = header.split()
+            if len(parts) != 4 or parts[0] != "array":
+                raise ParseError(f"expected array header, got {header!r}", path, line_number)
+            name = parts[1]
+            if name in named:
+                raise ParseError(f"duplicate array name {name!r}", path, line_number)
             try:
-                rows.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise ParseError(f"bad array value: {exc}", path, line_number) from None
-        try:
-            named[name] = np.array(rows, dtype=np.float64).reshape(n_rows, n_cols)
-        except ValueError:
-            raise ParseError(
-                f"array dims too large in {header!r}", path, line_number
-            ) from None
+                n_rows, n_cols = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"bad array dims in {header!r}", path, line_number) from None
+            if n_rows < 0 or n_cols < 0:
+                raise ParseError(f"negative array dims in {header!r}", path, line_number)
+            rows = []
+            for _ in range(n_rows):
+                line = next(lines, None)
+                if line is None:
+                    raise ParseError(f"array {name!r} is truncated", path, line_number)
+                line_number += 1
+                fields = line.split(",")
+                if len(fields) != n_cols:
+                    raise WidthMismatchError(
+                        f"array {name!r} row has {len(fields)} fields, expected {n_cols}",
+                        path,
+                        line_number,
+                    )
+                try:
+                    rows.append([float(v) for v in fields])
+                except ValueError as exc:
+                    raise ParseError(f"bad array value: {exc}", path, line_number) from None
+            try:
+                named[name] = np.array(rows, dtype=np.float64).reshape(n_rows, n_cols)
+            except ValueError:
+                raise ParseError(
+                    f"array dims too large in {header!r}", path, line_number
+                ) from None
     return named

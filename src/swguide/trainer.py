@@ -63,6 +63,9 @@ V2_FRACTIONS = (1.0 / 3.0, 2.0 / 3.0)
 # Largest accepted batch_size.  Runs use at most 512; the bound stops a
 # mistyped size before a step allocates arrays that cannot fit in memory.
 MAX_BATCH_SIZE = 65536
+# Largest accepted hidden_dim and disc_hidden.  Runs use at most 128; at
+# 4096 the largest square extractor weight (4096 x 4096 float64) is 128 MiB.
+MAX_LAYER_WIDTH = 4096
 LAMBDA_MODES = ("fixed", "ramp")
 
 
@@ -116,14 +119,21 @@ class TrainConfig:
         if not (0.0 <= self.expansion_fraction <= 1.0):
             raise ConfigInvalidError(f"expansion_fraction must lie in [0, 1], got "
                                      f"{self.expansion_fraction}")
-        if self.seed < 0:
-            raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
-        if self.episodes < 1:
-            raise ConfigInvalidError(f"episodes must be >= 1, got {self.episodes}")
-        if not 2 <= self.batch_size <= MAX_BATCH_SIZE:
-            raise ConfigInvalidError(
-                f"batch_size must lie in [2, {MAX_BATCH_SIZE}], got {self.batch_size}"
-            )
+        for name, low, high in (
+            ("seed", 0, None),
+            ("episodes", 1, None),
+            ("batch_size", 2, MAX_BATCH_SIZE),
+            ("hidden_dim", 1, MAX_LAYER_WIDTH),
+            ("disc_hidden", 1, MAX_LAYER_WIDTH),
+        ):
+            value = getattr(self, name)
+            if value < low or (high is not None and value > high):
+                bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+                # str() of an int beyond the digit limit would raise ValueError.
+                shown = value if value.bit_length() <= 64 else (
+                    f"an integer of {value.bit_length()} bits"
+                )
+                raise ConfigInvalidError(f"{name} must {bound}, got {shown}")
         if self.lr_extractor <= 0.0 or self.lr_heads <= 0.0:
             raise ConfigInvalidError("learning rates must be positive")
         if self.lambda_mode not in LAMBDA_MODES:
@@ -142,8 +152,6 @@ class TrainConfig:
             )
         if self.w_kd < 0.0:
             raise ConfigInvalidError(f"w_kd must be >= 0, got {self.w_kd}")
-        if self.hidden_dim < 1 or self.disc_hidden < 1:
-            raise ConfigInvalidError("layer widths must be >= 1")
 
 
 @dataclass

@@ -10,8 +10,6 @@ from swguide.data import (
     make_benchmark,
     read_array_file,
     read_dataset,
-    read_metrics,
-    read_predictions,
     write_array_file,
     write_dataset,
 )
@@ -186,10 +184,9 @@ def test_train_writes_artifacts_and_summary(bench, tmp_path, capsys):
     for name in ("config.txt", "metrics.txt", "checkpoint.txt",
                  "predictions.txt", "summary.txt"):
         assert (out_dir / name).exists(), name
-    metrics = read_metrics(out_dir / "metrics.txt")
-    assert len(metrics) == 2
-    ids, probs = read_predictions(out_dir / "predictions.txt")
-    assert len(ids) == 18 and probs.shape == (18, 3)
+    assert len((out_dir / "metrics.txt").read_text().splitlines()) == 2
+    predictions = (out_dir / "predictions.txt").read_text().splitlines()
+    assert predictions[0] == "id,p:3" and len(predictions) == 1 + 18
     summary = (out_dir / "summary.txt").read_text()
     assert summary.rstrip("\n") in stdout
 
@@ -300,15 +297,24 @@ def test_an_invalid_config_exits_2_before_its_config_is_echoed(
     assert "# config" not in out
 
 
+def test_a_layer_width_past_its_bound_exits_2_before_allocating(bench, capsys):
+    source, target = bench
+    code = main(_train_args(source, target, "--hidden-dim", "1000000000000000"))
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "hidden_dim" in err and "4096" in err
+    assert "# config" not in out
+
+
 def test_train_v2_persists_first_run_predictions(bench, tmp_path):
     source, target = bench
     out_dir = tmp_path / "v2"
     assert main(
         _train_args(source, target, "--scheme", "v2", "--out", str(out_dir))
     ) == 0
-    ids, probs = read_predictions(out_dir / "predictions_run1.txt")
-    assert len(ids) == 18
-    metrics = read_metrics(out_dir / "metrics.txt")
+    predictions = (out_dir / "predictions_run1.txt").read_text().splitlines()
+    assert predictions[0] == "id,p:3" and len(predictions) == 1 + 18
+    metrics = (out_dir / "metrics.txt").read_text().splitlines()
     assert len(metrics) == 4  # both runs' episodes concatenated
 
 

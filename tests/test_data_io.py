@@ -16,8 +16,6 @@ from swguide.data import (
     make_benchmark,
     read_array_file,
     read_dataset,
-    read_metrics,
-    read_predictions,
     rng_for,
     simulate_zeroshot,
     target_means,
@@ -331,89 +329,9 @@ def test_read_dataset_skips_blank_lines(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_predictions_round_trip_bit_exact(tmp_path):
-    rng = rng_for(0, "pred-io")
-    probs = rng.random((5, 3))
-    probs /= probs.sum(axis=1, keepdims=True)
-    path = tmp_path / "pred.txt"
-    write_predictions(path, [f"t{i}" for i in range(5)], probs)
-    ids, loaded = read_predictions(path)
-    assert ids == tuple(f"t{i}" for i in range(5))
-    np.testing.assert_array_equal(loaded, probs)
-
-
-def test_predictions_renormalize_only_slightly_off_rows(tmp_path):
-    path = tmp_path / "pred.txt"
-    path.write_text("id,p:2\nt0,0.5000003,0.5\n")
-    _, probs = read_predictions(path)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-15)
-    assert probs[0, 0] != 0.5000003  # was scaled down
-
-    path.write_text("id,p:2\nt0,0.25,0.75\n")
-    _, probs = read_predictions(path)
-    assert probs[0, 0] == 0.25 and probs[0, 1] == 0.75  # untouched
-
-
-def test_predictions_reject_rows_far_from_unit_mass(tmp_path):
-    path = tmp_path / "pred.txt"
-    path.write_text("id,p:2\nt0,0.6,0.6\n")
-    with pytest.raises(ParseError) as excinfo:
-        read_predictions(path)
-    assert excinfo.value.line_number == 2
-    path.write_text("id,p:2\nt0,0.5\n")
-    with pytest.raises(WidthMismatchError):
-        read_predictions(path)
-    path.write_text("id,q:2\n")
-    with pytest.raises(ParseError):
-        read_predictions(path)
-
-
-@pytest.mark.parametrize(
-    "row", ["2.0,-1.0", "-0.0,1.0,nan", "inf,0.0"], ids=["unit-mass", "nan", "inf"]
-)
-def test_predictions_reject_entries_outside_the_unit_interval(tmp_path, row):
-    path = tmp_path / "pred.txt"
-    width = row.count(",") + 1
-    path.write_text(f"id,p:{width}\nt0,0.5,0.5{',0.0' * (width - 2)}\nt1,{row}\n")
-    with pytest.raises(ParseError, match=r"outside \[0, 1\]") as excinfo:
-        read_predictions(path)
-    assert excinfo.value.line_number == 3
-
-
 def test_write_predictions_validates_shape(tmp_path):
     with pytest.raises(ClassMismatchError):
         write_predictions(tmp_path / "x.txt", ["a", "b"], np.ones((1, 2)))
-
-
-# ---------------------------------------------------------------------------
-# Metrics files
-# ---------------------------------------------------------------------------
-
-
-def test_metrics_round_trip(tmp_path):
-    records = [
-        EpisodeMetrics(0, 1.5, 0.25, 0.6931, 0.5),
-        EpisodeMetrics(1, 1.25, 0.125, 0.7, 0.625),
-    ]
-    path = tmp_path / "metrics.txt"
-    write_metrics(path, records)
-    assert read_metrics(path) == records
-    write_metrics(path, read_metrics(path))
-    assert read_metrics(path) == records
-
-
-def test_metrics_parse_errors(tmp_path):
-    path = tmp_path / "metrics.txt"
-    path.write_text("episode=0 l_ce=1.0 l_kd=0.1 l_ad=0.7 bogus=1\n")
-    with pytest.raises(ParseError):
-        read_metrics(path)
-    path.write_text("episode=0 l_ce=1.0\n")
-    with pytest.raises(ParseError) as excinfo:
-        read_metrics(path)
-    assert "missing" in str(excinfo.value)
-    path.write_text("episode=zero l_ce=1.0 l_kd=0.1 l_ad=0.7 target_accuracy=0.5\n")
-    with pytest.raises(ParseError):
-        read_metrics(path)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +421,13 @@ def test_writers_match_the_whole_file_rendering_on_awkward_floats(tmp_path):
         ["id,p:5"] + [",".join([i] + _cells(row)) for i, row in zip(ids, values)]
     )
 
+    rows = [(episode, *row[:4]) for episode, row in enumerate(values.tolist())]
+    write_metrics(tmp_path / "m.txt", [EpisodeMetrics(*row) for row in rows])
+    assert (tmp_path / "m.txt").read_bytes() == _joined(
+        f"episode={episode} l_ce={l_ce!r} l_kd={l_kd!r} l_ad={l_ad!r} target_accuracy={acc!r}"
+        for episode, l_ce, l_kd, l_ad, acc in rows
+    )
+
     arrays = {"w": values, "row": values[:1, ::2], "empty": np.zeros((2, 0))}
     write_array_file(tmp_path / "a.txt", arrays)
     lines = ["# swguide arrays v1"]
@@ -538,7 +463,7 @@ _FIELD_CHARS = "0123456789+-.,:=e \nsourcetagpnifx_#"
 
 @pytest.mark.parametrize(
     "reader",
-    [read_dataset, read_predictions, read_metrics, read_array_file, read_config_file],
+    [read_dataset, read_array_file, read_config_file],
 )
 @settings(max_examples=60, deadline=None)
 @given(

@@ -11,18 +11,27 @@ import tracemalloc
 import numpy as np
 
 from swguide import trainer
-from swguide.data import SyntheticSpec, make_benchmark, read_dataset, rng_for, write_dataset
+from swguide.data import (
+    SyntheticSpec,
+    make_benchmark,
+    read_array_file,
+    read_dataset,
+    rng_for,
+    write_array_file,
+    write_dataset,
+)
 from swguide.model import INFER_BLOCK_ROWS, init_params, pack_trainable
 from swguide.norm_adapt import adapt_model
 
 MB = 1e6
 # Measured peaks (Python 3.11, NumPy 2.4): read 2.90, write 0.056, run 19.03,
-# adapt and predict 13.81, step 32.47.
+# adapt and predict 13.81, step 32.47, checkpoint read 3.55.
 READ_PAIR_PEAK_MB = 3.62
 WRITE_PEAK_MB = 0.07
 RUN_PEAK_MB = 23.79
 ADAPT_PREDICT_PEAK_MB = 17.26
 STEP_PEAK_MB = 40.58
+CHECKPOINT_READ_PEAK_MB = 4.44
 
 
 def _peak_mb(fn, *args) -> float:
@@ -44,6 +53,19 @@ def test_writing_and_reading_a_4000_row_pair_stay_under_their_peaks(tmp_path):
     peak = _peak_mb(lambda: loaded.extend(read_dataset(path) for path in paths))
     assert [len(dataset) for dataset in loaded] == [4000, 4000]
     assert peak <= READ_PAIR_PEAK_MB, f"peak {peak:.2f} MB"
+
+
+def test_reading_a_checkpoint_of_train_large_shape_stays_under_its_peak(tmp_path):
+    """A 2.1 MB checkpoint (K=5, hidden and discriminator width 128) is read
+    line by line, never as a whole-file list of lines."""
+    params = init_params(
+        rng_for(0, "memory", "checkpoint"), input_dim=20, n_classes=5,
+        hidden_dim=128, disc_hidden=128,
+    )
+    path = tmp_path / "checkpoint.txt"
+    write_array_file(path, params.named_arrays())
+    peak = _peak_mb(read_array_file, path)
+    assert peak <= CHECKPOINT_READ_PEAK_MB, f"peak {peak:.2f} MB"
 
 
 def test_a_batch_512_run_stays_under_its_peak():

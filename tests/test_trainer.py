@@ -28,6 +28,7 @@ from swguide.norm_adapt import adapt_model
 from swguide import trainer
 from swguide.trainer import (
     MAX_BATCH_SIZE,
+    MAX_LAYER_WIDTH,
     SCHEMES,
     V2_FRACTIONS,
     Adam,
@@ -91,6 +92,9 @@ def small_config(**overrides):
         dict(augment_noise=float("inf")),
         dict(w_kd=float("nan")),
         dict(seed=-1),
+        dict(episodes=-10**5000),  # beyond str()'s digit limit
+        dict(batch_size=10**5000),
+        dict(seed=-10**5000),
     ],
 )
 def test_config_validation_rejects_bad_values(overrides):
@@ -131,6 +135,13 @@ def test_config_batch_size_has_a_documented_upper_bound():
     TrainConfig(batch_size=MAX_BATCH_SIZE).validate()
     with pytest.raises(ConfigInvalidError, match=f"batch_size.*{MAX_BATCH_SIZE}"):
         TrainConfig(batch_size=10**8).validate()
+
+
+@pytest.mark.parametrize("field", ["hidden_dim", "disc_hidden"])
+def test_config_layer_widths_have_a_documented_upper_bound(field):
+    TrainConfig(**{field: MAX_LAYER_WIDTH}).validate()
+    with pytest.raises(ConfigInvalidError, match=f"{field}.*{MAX_LAYER_WIDTH}"):
+        TrainConfig(**{field: MAX_LAYER_WIDTH + 1}).validate()
 
 
 def test_config_tau_must_beat_chance_for_the_class_count():

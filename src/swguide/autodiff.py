@@ -25,6 +25,7 @@ to single-row matrices on entry.
 
 from __future__ import annotations
 
+import math
 import numbers
 import weakref
 
@@ -263,15 +264,17 @@ def weighted_sum(a: Node, weights) -> Node:
     )
 
 
-def softmax_numerators(logits, temperature: float = 1.0) -> np.ndarray:
+def softmax_numerators(logits, temperature: float = 1.0, row_max=None) -> np.ndarray:
     """Row-wise ``exp(z - max z)`` for ``z = logits / temperature``: the
     numerators of :func:`stable_softmax`.  Each row's largest entry is
-    exactly 1.0."""
+    exactly 1.0.  ``row_max``, if given, is ``logits``' (n, 1) row maxima:
+    division by a positive number is monotone, so ``max z`` is ``row_max /
+    temperature`` bit for bit."""
     t = float(temperature)
     if t <= 0.0:
         raise ConfigInvalidError(f"softmax temperature must be positive, got {t}")
     z = np.asarray(logits, dtype=np.float64) / t
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True) if row_max is None else row_max / t
     return np.exp(z, out=z)
 
 
@@ -306,19 +309,28 @@ def outer_rows(f: Node, p: Node) -> Node:
         )
     n = f.value.shape[0]
     out = np.einsum("ni,nk->nik", f.value, p.value).reshape(n, -1)
-    return tape._record(np.ascontiguousarray(out), "outer_rows", (f, p))
+    # Rounding is monotone, so no entry's magnitude exceeds the product of
+    # the inputs' largest magnitudes: when that is finite, so is every entry.
+    bound = float(np.abs(f.value).max(initial=0.0)) * float(np.abs(p.value).max(initial=0.0))
+    return tape._record(
+        np.ascontiguousarray(out), "outer_rows", (f, p), checked=math.isfinite(bound)
+    )
+
+
+def _check_norm_rows(width: int, *rows):
+    for row in rows:
+        if row.shape != (1, width):
+            raise ShapeMismatchError(f"norm row shape {row.shape} != {(1, width)}")
 
 
 def norm_affine(
     h: np.ndarray, offset, inv_std, gamma: np.ndarray, beta: np.ndarray, out=None
 ) -> np.ndarray:
     """``((h + offset) * inv_std) * gamma + beta``, op for op, for (n, d) ``h``
-    and (1, d) rows, as a new array or into ``out`` (which may be ``h``): the
-    one copy of the norm arithmetic, called by each :func:`domain_affine`
-    branch and by tape-free inference."""
-    for row in (offset, inv_std, gamma, beta):
-        if row.shape != (1, h.shape[1]):
-            raise ShapeMismatchError(f"norm row shape {row.shape} != {(1, h.shape[1])}")
+    and (1, d) rows, as a new array or into ``out`` (which may be ``h``):
+    the norm arithmetic of tape-free inference, which each
+    :func:`domain_affine` branch repeats on its own rows."""
+    _check_norm_rows(h.shape[1], offset, inv_std, gamma, beta)
     y = np.add(h, offset, out=out)
     y *= inv_std
     y *= gamma
@@ -326,36 +338,62 @@ def norm_affine(
     return y
 
 
+def _branch_rows(mask, n: int, taken: np.ndarray) -> np.ndarray:
+    """Indices of the rows the 0/1 column ``mask`` selects (every row for
+    None), marked in ``taken``; a row another branch took already, or a
+    mask entry that is neither 0 nor 1, is an error."""
+    if mask is None:
+        rows = np.arange(n)
+    else:
+        mask = as_matrix(mask)
+        if mask.shape != (n, 1):
+            raise ShapeMismatchError(
+                f"domain_affine mask of shape {mask.shape} is not an ({n}, 1) column"
+            )
+        selected = mask[:, 0] == 1.0
+        if not (selected | (mask[:, 0] == 0.0)).all():
+            raise ShapeMismatchError("domain_affine masks must hold only 0 and 1")
+        rows = np.flatnonzero(selected)
+    if taken[rows].any():
+        raise ShapeMismatchError("domain_affine masks overlap: a row is in two branches")
+    taken[rows] = True
+    return rows
+
+
 def domain_affine(h: Node, branches) -> Node:
-    """Per-domain normalization with learnable affine, blended by row masks,
-    then relu.
+    """Per-domain normalization with learnable affine, each row in its own
+    domain's branch, then relu.
 
     Each branch is ``(mask, offset, inv_std, gamma, beta)``: ``offset`` and
     ``inv_std`` are constant rows (minus the running mean, one over the
     running standard deviation), ``gamma`` and ``beta`` are (1, d) nodes, and
     ``mask`` is a constant 0/1 column selecting the branch's rows, or None
-    for a branch that covers every row.  The value is the sum, in branch
-    order, of ``norm_affine(h, offset, inv_std, gamma, beta) * mask``, every
-    branch computed over the whole batch.  The relu is applied in place, as
-    in :func:`linear`.
+    for a branch that covers every row.  The masks must partition the rows.
+    Each branch gathers its rows once and computes ``xhat = (h + offset) *
+    inv_std`` and ``xhat * gamma + beta`` there, :func:`norm_affine`'s ops in
+    its order, into those rows of the value; ``xhat`` is kept for the backward
+    pass.  The relu is applied in place, as in :func:`linear`.
     """
+    n, d = h.value.shape
     parents = [h]
     kept = []
-    out = None
+    out = np.empty_like(h.value)
+    taken = np.zeros(n, dtype=bool)
     for mask, offset, inv_std, gamma, beta in branches:
-        if mask is not None:
-            mask = _constant_for(h, mask, "domain_affine")
-        y = norm_affine(h.value, offset, inv_std, gamma.value, beta.value)
-        if mask is not None:
-            y *= mask
-        if out is None:
-            out = y
-        else:
-            out += y
+        _check_norm_rows(d, offset, inv_std, gamma.value, beta.value)
+        rows = _branch_rows(mask, n, taken)
+        xhat = h.value[rows]
+        xhat += offset
+        xhat *= inv_std
+        y = xhat * gamma.value
+        y += beta.value
+        out[rows] = y
         parents += (gamma, beta)
-        kept.append((mask, offset, inv_std))
-    if out is None:
+        kept.append((rows, xhat, inv_std))
+    if not kept:
         raise ShapeMismatchError("domain_affine needs at least one branch")
+    if not taken.all():
+        raise ShapeMismatchError("domain_affine masks leave a row in no branch")
     tape = _check_same_tape(*parents)
     keep = _relu_in_place(out, "domain_affine")
     return tape._record(out, "domain_affine", tuple(parents), aux=(keep, kept), checked=True)
@@ -466,15 +504,26 @@ def _back_domain_affine(node):
     h = node.parents[0]
     keep, branches = node.aux
     g = node.grad * keep
-    # Last branch first, as the reversed walk over the unfused ops visited them.
+    gathered = [g[rows] for rows, _, _ in branches]
+    h_grad = np.empty_like(g)
+    # beta's and gamma's gradients are column sums over ``g`` refilled with
+    # the branch's rows and zeros elsewhere, not over the gathered rows alone:
+    # NumPy sums an (n, 1) column pairwise, so a width-1 layer's sums equal
+    # those of the masked full-batch blend only at full height.  Last branch
+    # first, as the reversed walk over that blend's ops visited them.
     for i in range(len(branches) - 1, -1, -1):
-        mask, offset, inv_std = branches[i]
+        rows, xhat, inv_std = branches[i]
         gamma, beta = node.parents[1 + 2 * i], node.parents[2 + 2 * i]
-        xhat = (h.value + offset) * inv_std  # recomputed: no (n, d) array kept per branch
-        gy = g if mask is None else g * mask
-        _accumulate(beta, _unbroadcast(gy, beta.value.shape), node)
-        _accumulate(gamma, _unbroadcast(gy * xhat, gamma.value.shape))
-        _accumulate(h, (gy * gamma.value) * inv_std)
+        gy = gathered[i]
+        g.fill(0.0)
+        g[rows] = gy
+        _accumulate(beta, g.sum(axis=0, keepdims=True))
+        g[rows] = gy * xhat
+        _accumulate(gamma, g.sum(axis=0, keepdims=True))
+        gy *= gamma.value
+        gy *= inv_std
+        h_grad[rows] = gy
+    _accumulate(h, h_grad)
 
 
 def _back_gradient_reverse(node):

@@ -10,6 +10,7 @@ used for distillation downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,25 +111,45 @@ def _check_pair(source, target) -> tuple[np.ndarray, np.ndarray]:
     return source, target
 
 
-def _mean_max_prob(logits: np.ndarray, temperature: float) -> float:
+class _Domain(NamedTuple):
+    """One domain's checked (n, K) logits and their (n, 1) row maxima."""
+
+    logits: np.ndarray
+    row_max: np.ndarray
+
+
+def _domain_pair(source, target) -> tuple[_Domain, _Domain]:
+    """Both domains checked and with their row maxima, once; a pair that
+    already is passes through."""
+    if type(source) is _Domain and type(target) is _Domain:
+        return source, target
+    source, target = _check_pair(source, target)
+    return (
+        _Domain(source, source.max(axis=1, keepdims=True)),
+        _Domain(target, target.max(axis=1, keepdims=True)),
+    )
+
+
+def _mean_max_prob(domain: _Domain, temperature: float) -> float:
     """Mean top softmax probability.  A row's largest softmax numerator is
     exactly 1.0, so its top probability is 1 / (sum of numerators), bit for
     bit, and no full softmax is needed."""
-    return float((1.0 / softmax_numerators(logits, temperature).sum(axis=1)).mean())
+    numerators = softmax_numerators(domain.logits, temperature, domain.row_max)
+    return float((1.0 / numerators.sum(axis=1)).mean())
 
 
 def mean_winning_probability(source, target, temperature: float) -> float:
     """Half/half mix of each domain's mean top softmax probability at
     ``temperature``, for the (n, K) logit arrays of the two domains."""
-    source, target = _check_pair(source, target)
+    source, target = _domain_pair(source, target)
     return 0.5 * _mean_max_prob(source, temperature) + 0.5 * _mean_max_prob(
         target, temperature
     )
 
 
-def _cold_limit(logits: np.ndarray) -> float:
+def _cold_limit(domain: _Domain) -> float:
     """Mean winning probability in the limit T -> 0+ (ties split the mass)."""
-    multiplicity = (logits == logits.max(axis=1, keepdims=True)).sum(axis=1)
+    multiplicity = (domain.logits == domain.row_max).sum(axis=1)
     return float(np.mean(1.0 / multiplicity))
 
 
@@ -142,11 +163,12 @@ def solve_temperature(source, target, tau: float = DEFAULT_TAU) -> CalibrationRe
     ``BRACKET_RELATIVE_WIDTH`` relative to the answer, so the returned
     temperature itself is pinned, not just the constraint value.
     """
-    source, target = _check_pair(source, target)
+    # Checked once, with each row's max taken once, for the ~55 evaluations.
+    source, target = _domain_pair(source, target)
     tau = float(tau)
     if not (0.0 < tau < 1.0):
         raise ConfigInvalidError(f"tau must lie in (0, 1), got {tau}")
-    floor = 1.0 / source.shape[1]
+    floor = 1.0 / source.logits.shape[1]
     if tau <= floor:
         raise InfeasibleError(
             f"mean winning probability only falls to 1/K = {floor:.6f} as T grows "

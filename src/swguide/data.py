@@ -10,9 +10,9 @@ both domains.
 All file formats are plain comma-separated text.  Floats are written with
 ``repr`` so that write → read round-trips bit-exactly.  Writers format and
 write one row at a time, and readers stream the file line by line, so no
-whole-file text or list of lines is built; the dataset reader parses each
-row straight into preallocated arrays, so it builds no list of rows or of
-floats either.
+whole-file text or list of lines is built; the dataset reader parses blocks
+of ``READ_BLOCK_ROWS`` rows straight into preallocated arrays, so it holds
+at most one block's lines and floats besides them.
 """
 
 from __future__ import annotations
@@ -47,14 +47,17 @@ def rng_for(seed: int, *path) -> np.random.Generator:
     spawn key of a ``SeedSequence``, so streams never depend on call
     order and never touch global random state.
     """
-    if int(seed) < 0:
-        raise ConfigInvalidError(f"seed must be >= 0, got {seed}")
+    seed = int(seed)
+    if seed < 0:
+        # str() of an int beyond the digit limit would raise ValueError.
+        shown = seed if seed.bit_length() <= 64 else f"an integer of {seed.bit_length()} bits"
+        raise ConfigInvalidError(f"seed must be >= 0, got {shown}")
     key = []
     for part in path:
         digest = hashlib.blake2s(str(part).encode("utf-8")).digest()
         key.append(int.from_bytes(digest[0:4], "little"))
         key.append(int.from_bytes(digest[4:8], "little"))
-    sequence = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key))
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.default_rng(sequence)
 
 
@@ -196,25 +199,33 @@ class SyntheticSpec:
             raise InvalidSpecError(
                 f"shift shape {self.shift.shape}, expected ({self.feature_dim},)"
             )
+        for name in ("class_means", "shift"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidSpecError(f"{name} must be finite")
+        if not -math.inf < self.rotation < math.inf:
+            raise InvalidSpecError(f"rotation must be finite, got {self.rotation}")
         if len(self.per_class) != self.n_classes:
             raise InvalidSpecError(
                 f"{len(self.per_class)} per-class counts for {self.n_classes} classes"
             )
         if any(c < 1 for c in self.per_class):
             raise InvalidSpecError("every class needs at least one sample")
-        if self.class_std <= 0.0:
-            raise InvalidSpecError(f"class_std must be positive, got {self.class_std}")
-        if self.noise_scale < 0.0:
+        # NaN fails every comparison, so each bound is one that NaN cannot pass.
+        if not 0.0 < self.class_std < math.inf:
             raise InvalidSpecError(
-                f"noise_scale must be non-negative, got {self.noise_scale}"
+                f"class_std must be positive and finite, got {self.class_std}"
+            )
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise InvalidSpecError(
+                f"noise_scale must be non-negative and finite, got {self.noise_scale}"
             )
         if not (0.0 <= self.class_angle <= math.pi):
             raise InvalidSpecError(
                 f"class_angle must lie in [0, pi], got {self.class_angle}"
             )
-        if self.oracle_sharpness <= 0.0:
+        if not 0.0 < self.oracle_sharpness < math.inf:
             raise InvalidSpecError(
-                f"oracle_sharpness must be positive, got {self.oracle_sharpness}"
+                f"oracle_sharpness must be positive and finite, got {self.oracle_sharpness}"
             )
 
     @staticmethod
@@ -461,12 +472,85 @@ def _dataset_widths(line: str, path) -> tuple[int, int]:
     )
 
 
+# Rows ``read_dataset`` parses with one ``np.loadtxt`` call: enough that the
+# call's fixed cost is small beside the parse, few enough that a block's text
+# and its parsed copy add little to the arrays they fill.
+READ_BLOCK_ROWS = 128
+
+
+class _DatasetRows:
+    """The columns ``read_dataset``'s second pass fills, sized for ``n`` rows."""
+
+    def __init__(self, n: int, d_x: int, k: int, path):
+        self.path = path
+        self.d_x = d_x
+        self.n_fields = 3 + d_x + k
+        self.ids, self.roles = [], []
+        self.labels = np.empty(n, dtype=np.int64)
+        self.features = np.empty((n, d_x)) if n else None
+        self.zeroshot = np.empty((n, k)) if n else None
+
+    def add_row(self, line_number: int, line: str):
+        """Parse one non-empty line with ``int()`` and ``float()``: the
+        reference parser, whose errors and line numbers the reader reports."""
+        fields = line.split(",")
+        if len(fields) != self.n_fields:
+            raise WidthMismatchError(
+                f"row has {len(fields)} fields, header implies {self.n_fields}",
+                self.path,
+                line_number,
+            )
+        row = len(self.ids)
+        try:
+            label = int(fields[2])
+            self.features[row] = [float(v) for v in fields[3 : 3 + self.d_x]]
+            self.zeroshot[row] = [float(v) for v in fields[3 + self.d_x :]]
+        except ValueError as exc:
+            raise ParseError(f"bad numeric field: {exc}", self.path, line_number) from None
+        if not -(2**63) <= label < 2**63:
+            raise ParseError(
+                f"label {fields[2]!r} does not fit in int64", self.path, line_number
+            )
+        self.labels[row] = label
+        self.ids.append(fields[0])
+        self.roles.append(fields[1])
+
+    def add_block(self, block):
+        """Parse ``block``, a list of (line number, non-empty line), with one
+        ``np.loadtxt`` call for its numbers.  A block that call or a label
+        rejects goes through :meth:`add_row` instead, which parses what
+        ``float()`` and ``int()`` accept and raises the row loop's error, as
+        does a block that the first pass did not count (the file changed)."""
+        start = len(self.ids)
+        stop = start + len(block)
+        if stop <= len(self.labels):
+            try:
+                heads = [line.split(",", 3) for _, line in block]
+                self.labels[start:stop] = [int(head[2]) for head in heads]
+                values = np.loadtxt(
+                    [head[3] for head in heads],
+                    delimiter=",", comments=None, quotechar=None, ndmin=2,
+                )
+            except (ValueError, IndexError, OverflowError):
+                pass
+            else:
+                if values.shape == (len(block), self.n_fields - 3):
+                    self.features[start:stop] = values[:, : self.d_x]
+                    self.zeroshot[start:stop] = values[:, self.d_x :]
+                    self.ids.extend(head[0] for head in heads)
+                    self.roles.extend(head[1] for head in heads)
+                    return
+        for line_number, line in block:
+            self.add_row(line_number, line)
+
+
 def read_dataset(path) -> DomainDataset:
     """Read a dataset file in two passes over its lines, holding neither its
     text nor a list of its lines.  The first pass decodes the whole file, so
     bytes that are not UTF-8 are reported before any other fault wherever
     they are, and counts the leading rows that have the header's width; the
-    second parses those rows into arrays sized for them."""
+    second parses those rows into arrays sized for them, ``READ_BLOCK_ROWS``
+    at a time."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = _text_lines(handle, path)
         first = next(lines, None)
@@ -478,49 +562,31 @@ def read_dataset(path) -> DomainDataset:
             deque(lines, maxlen=0)  # decode the rest: bytes that are not UTF-8 come first
             raise
         # Arrays are sized by the leading rows whose width has been checked (none
-        # if the first row is too narrow or wide, which the loop then rejects),
+        # if the first row is too narrow or wide, which the row loop then rejects),
         # so a header that claims a huge width allocates nothing.
         n = _rows_of_width(lines, 3 + d_x + k)
         deque(lines, maxlen=0)
-        ids, roles = [], []
-        labels = np.empty(n, dtype=np.int64)
-        features = np.empty((n, d_x)) if n else None
-        zeroshot = np.empty((n, k)) if n else None
+        rows = _DatasetRows(n, d_x, k, path)
         handle.seek(0)
         lines = _text_lines(handle, path)
         next(lines)
+        block = []
         for line_number, line in enumerate(lines, start=2):
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3 + d_x + k:
-                raise WidthMismatchError(
-                    f"row has {len(fields)} fields, header implies {3 + d_x + k}",
-                    path,
-                    line_number,
-                )
-            row = len(ids)
-            try:
-                label = int(fields[2])
-                features[row] = [float(v) for v in fields[3 : 3 + d_x]]
-                zeroshot[row] = [float(v) for v in fields[3 + d_x :]]
-            except ValueError as exc:
-                raise ParseError(f"bad numeric field: {exc}", path, line_number) from None
-            if not -(2**63) <= label < 2**63:
-                raise ParseError(
-                    f"label {fields[2]!r} does not fit in int64", path, line_number
-                )
-            labels[row] = label
-            ids.append(fields[0])
-            roles.append(fields[1])
-    if not ids:
+            if line:
+                block.append((line_number, line))
+                if len(block) == READ_BLOCK_ROWS:
+                    rows.add_block(block)
+                    block = []
+        if block:
+            rows.add_block(block)
+    if not rows.ids:
         raise ParseError("dataset file has a header but no rows", path, 1)
     return DomainDataset(
-        sample_ids=tuple(ids),
-        roles=tuple(roles),
-        labels=labels,
-        features=features,
-        zeroshot=zeroshot,
+        sample_ids=tuple(rows.ids),
+        roles=tuple(rows.roles),
+        labels=rows.labels,
+        features=rows.features,
+        zeroshot=rows.zeroshot,
     )
 
 

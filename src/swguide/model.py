@@ -303,8 +303,8 @@ def forward_on_tape(nodes: ParamNodes, params: ModelParams, x: ad.Node, masks):
     trainable leaves.  ``masks`` maps each domain in the batch, in
     ``NORM_DOMAINS`` order, to a 0/1 column selecting its rows (None: every
     row).  Each dense layer is one ``linear`` node, and each norm layer one
-    ``domain_affine`` node, relu included, that blends the domains' branches
-    with the masks, so one tape serves mixed batches.
+    ``domain_affine`` node, relu included, that runs each domain's rows
+    through its own branch, so one tape serves mixed batches.
     """
     h = x
     for layer, (weight, bias) in enumerate(nodes.extractor):

@@ -153,6 +153,17 @@ def test_outer_rows_one_hot_places_feature_block():
     assert np.all(out[:, [0, 2]] == 0.0)
 
 
+def test_outer_rows_checks_each_entry_when_the_magnitude_bound_overflows():
+    tape = ad.Tape()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="'outer_rows'"):
+            ad.outer_rows(tape.leaf([[1e200, 1.0]]), tape.leaf([[1e200, 0.5]]))
+    # The largest magnitudes multiply to inf, but no row's products do.
+    f, p = [[1e200], [1e-200]], [[1e-200], [1e200]]
+    out = ad.outer_rows(tape.leaf(f), tape.leaf(p))
+    np.testing.assert_array_equal(out.value, [[1e200 * 1e-200], [1e-200 * 1e200]])
+
+
 def test_gradient_reverse_forward_identity():
     rng = rng_for(5, "grl")
     x = rng.standard_normal((3, 4))
@@ -531,6 +542,75 @@ def test_domain_affine_rejects_bad_shapes():
         ad.domain_affine(h, [(np.ones((2, 1)), *ok, row, row)])
     with pytest.raises(ShapeMismatchError):
         ad.domain_affine(h, [])
+
+
+def _trainer_masks(batch_size):
+    """The trainer's domain masks: a batch is [source, target, augmented
+    source, augmented target] halves."""
+    src_half, tgt_half = -(-batch_size // 2), batch_size // 2
+    source = np.array(([1.0] * src_half + [0.0] * tgt_half) * 2).reshape(-1, 1)
+    return source, 1.0 - source
+
+
+def _assert_matches_numpy_affine(rng, masks, d):
+    """``domain_affine``'s value and gradients equal ``_numpy_affine``'s bit
+    for bit, for one branch per mask with random constants and inputs."""
+    n = len(masks[0])
+    constants = [
+        (mask, rng.standard_normal((1, d)), 1.0 / np.sqrt(0.5 + rng.random((1, d))))
+        for mask in masks
+    ]
+    inputs = [rng.standard_normal((n, d))] + [
+        rng.standard_normal((1, d)) for _ in range(2 * len(masks))
+    ]
+    weights = rng.standard_normal((n, d))
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in inputs]
+    out = _affine(constants, *leaves)
+    ad.backward(tape, ad.weighted_sum(out, weights))
+    expected, expected_grads = _numpy_affine(constants, weights, *inputs)
+    np.testing.assert_array_equal(out.value, expected)
+    for leaf, grad in zip(leaves, expected_grads):
+        np.testing.assert_array_equal(leaf.grad, grad)
+    return leaves
+
+
+@pytest.mark.parametrize("batch_size, d", [(7, 1), (300, 1), (301, 1), (300, 3), (64, 64)])
+def test_domain_affine_matches_the_masked_blend_on_the_trainers_blocks(batch_size, d):
+    """Each branch computes on its own rows; the sums stay those of the
+    masked full-batch blend, also at width 1, where NumPy sums an (n, 1)
+    column pairwise and so depends on where the other branch's rows sit."""
+    rng = rng_for(batch_size * 1000 + d, "domain-affine-blocks")
+    _assert_matches_numpy_affine(rng, _trainer_masks(batch_size), d)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_domain_affine_on_a_single_domain_batch(d):
+    """Every row in one domain, the other branch's mask all zeros: that
+    branch's gamma and beta get zero gradients."""
+    rng = rng_for(d, "domain-affine-single-domain")
+    everything = np.ones((40, 1))
+    leaves = _assert_matches_numpy_affine(rng, [1.0 - everything, everything], d)
+    assert not leaves[1].grad.any() and not leaves[2].grad.any()
+
+
+def test_domain_affine_rejects_masks_that_do_not_partition_the_rows():
+    tape = ad.Tape()
+    h = tape.leaf(np.ones((3, 2)))
+    row = tape.leaf(np.ones((1, 2)))
+    ok = (np.zeros((1, 2)), np.ones((1, 2)))
+    ones, zeros = np.ones((3, 1)), np.zeros((3, 1))
+    first = np.array([[1.0], [0.0], [0.0]])
+    for masks in (
+        [ones, first],  # overlap
+        [None, first],  # overlap with a branch that covers every row
+        [zeros, zeros],  # no branch takes any row
+        [first, zeros],  # two rows in no branch
+        [np.full((3, 1), 0.5), np.full((3, 1), 0.5)],  # not 0/1
+        [2.0 * first, 1.0 - first],  # not 0/1
+    ):
+        with pytest.raises(GuidanceError, match="mask"):
+            ad.domain_affine(h, [(mask, *ok, row, row) for mask in masks])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

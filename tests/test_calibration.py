@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swguide import autodiff as ad
+from swguide import calibration
 from swguide.calibration import (
     SoftLabelSet,
     mean_winning_probability,
@@ -214,6 +216,38 @@ def test_solver_matches_grid_scan_oracle(seed):
     assert abs(result.achieved_mean - 0.9) <= 1e-6
     scanned = grid_scan_temperature(source_logits, target_logits, 0.9)
     assert result.temperature == pytest.approx(scanned, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solver_with_row_maxima_taken_once_matches_per_call_maxima(monkeypatch, seed):
+    """For T > 0, max(z / T) is (max z) / T bit for bit, so the solve that
+    takes each row's max once gives the solve that takes it in every
+    evaluation, ties included, through as many calls of the module-level
+    ``mean_winning_probability``."""
+    rng = rng_for(seed, "row-max-once")
+    source = np.round(rng.standard_normal((60, 5)) * 3, 1)
+    target = np.round(rng.standard_normal((45, 5)) * 3, 1)
+    source[::4, 2] = source[::4].max(axis=1)  # tied maxima
+    calls = []
+    evaluate = calibration.mean_winning_probability
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(calibration, "mean_winning_probability", counted)
+    once = solve_temperature(source, target, 0.7)
+    calls_once = len(calls)
+    monkeypatch.setattr(
+        calibration, "softmax_numerators",
+        lambda logits, temperature, row_max=None: ad.softmax_numerators(logits, temperature),
+    )
+    calls.clear()
+    per_call = solve_temperature(source, target, 0.7)
+    assert calls_once == len(calls) > 40
+    assert once.temperature.hex() == per_call.temperature.hex()
+    assert once.achieved_mean.hex() == per_call.achieved_mean.hex()
+    assert once.iterations == per_call.iterations
 
 
 @settings(max_examples=25, deadline=None)

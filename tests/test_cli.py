@@ -141,6 +141,27 @@ def test_calibrate_prints_the_unit_temperature_fixture(tmp_path, capsys):
     assert out[2].startswith("iterations=")
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--class-std", "nan", "class_std"),
+        ("--noise", "nan", "noise_scale"),
+        ("--mean-scale", "inf", "class_means"),
+        ("--rotation", "nan", "rotation"),
+        ("--shift", "nan", "shift"),
+        ("--oracle-sharpness", "inf", "oracle_sharpness"),
+    ],
+)
+def test_gen_rejects_a_non_finite_setting_naming_its_field(tmp_path, capsys, flag, value, field):
+    source, target = str(tmp_path / "s.txt"), str(tmp_path / "t.txt")
+    code = main(
+        ["gen", "--out-source", source, "--out-target", target, "--per-class", "2", flag, value]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be" in err
+
+
 def test_calibrate_infeasible_exits_with_error(tmp_path, capsys):
     # Tied scores cap the mean at 1/2.
     source, target = _write_pair(tmp_path, np.zeros((1, 2)))

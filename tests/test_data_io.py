@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from swguide.cli import read_config_file
 from swguide.data import (
+    READ_BLOCK_ROWS,
     DomainDataset,
     EpisodeMetrics,
     SyntheticSpec,
@@ -26,6 +27,7 @@ from swguide.data import (
 )
 from swguide.errors import (
     ClassMismatchError,
+    ConfigInvalidError,
     GuidanceError,
     InvalidSpecError,
     NonFiniteError,
@@ -71,6 +73,11 @@ def test_rng_for_accepts_non_string_parts():
     a = rng_for(0, "gen", 3).standard_normal(2)
     b = rng_for(0, "gen", "3").standard_normal(2)
     np.testing.assert_array_equal(a, b)
+
+
+def test_rng_for_rejects_a_huge_negative_seed_by_its_bit_count():
+    with pytest.raises(ConfigInvalidError, match="16610 bits"):
+        rng_for(-(10**5000))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +329,105 @@ def test_read_dataset_skips_blank_lines(tmp_path):
         "id,domain,label,f:1,z:2\n\ns0,source,0,1.5,0.25,0.75\n\n"
     )
     assert read_dataset(path).sample_ids == ("s0",)
+
+
+def _read_outcome(path):
+    """What ``read_dataset`` makes of ``path``: every column's bytes, or the
+    error's type, message and line number."""
+    try:
+        ds = read_dataset(path)
+    except GuidanceError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return (
+        ds.sample_ids, ds.roles,
+        ds.labels.tobytes(), ds.features.tobytes(), ds.zeroshot.tobytes(),
+    )
+
+
+def _row_loop_outcome(path):
+    """``_read_outcome`` with every block refused by ``np.loadtxt``, so the
+    reader parses each row with ``int()`` and ``float()``."""
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        return _read_outcome(path)
+
+
+def _dataset_text(rows, blank_before=()):
+    """A dataset file with ``f:2,z:2`` and a row of byte fields per entry of
+    ``rows``; a blank line goes before each row index in ``blank_before``."""
+    lines = [b"id,domain,label,f:2,z:2"]
+    for i, row in enumerate(rows):
+        lines += [b""] * list(blank_before).count(i)
+        lines.append(b",".join(row))
+    return b"\n".join(lines) + b"\n"
+
+
+def _plain_rows(n):
+    return [
+        [b"s%d" % i, b"source", b"%d" % (i % 3), repr(0.1 * i).encode(), b"-2.5",
+         b"0.25", repr(1.0 / (i + 1)).encode()]
+        for i in range(n)
+    ]
+
+
+# Tokens where np.loadtxt and float() or int() might part ways.
+_READER_TOKENS = (
+    b"1_0", b"#", b" 1.5", "\u0661\u0662".encode(), b"0x1p3", b"nan", b"1e400", b"",
+    b"99999999999999999999999", b"\xff\xfe", b"-0.0", b"1.5,2", b" 2 ",
+    " 1.5".encode(), "１".encode(), b"infinity", b"1 2",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.integers(1, 2 * READ_BLOCK_ROWS + 1),
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(2, 6), st.sampled_from(_READER_TOKENS)),
+        max_size=3,
+    ),
+    blank_before=st.lists(st.integers(0, 2 * READ_BLOCK_ROWS + 1), max_size=2),
+)
+def test_block_reader_matches_the_row_loop(tmp_path_factory, n_rows, edits, blank_before):
+    rows = _plain_rows(n_rows)
+    for row, column, token in edits:
+        rows[row % n_rows][column] = token
+    path = tmp_path_factory.getbasetemp() / "block-vs-row-loop.txt"
+    path.write_bytes(_dataset_text(rows, blank_before))
+    assert _read_outcome(path) == _row_loop_outcome(path)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_dataset_round_trip_around_the_block_size(tmp_path, extra):
+    n = READ_BLOCK_ROWS + extra
+    rng = rng_for(n, "block-size-round-trip")
+    dataset = DomainDataset(
+        sample_ids=tuple(f"s{i}" for i in range(n)),
+        roles=("source",) * n,
+        labels=rng.integers(0, 5, n),
+        features=rng.standard_normal((n, 3)),
+        zeroshot=rng.standard_normal((n, 2)),
+    )
+    path = tmp_path / "rows.txt"
+    write_dataset(path, dataset)
+    loaded = read_dataset(path)
+    assert loaded.sample_ids == dataset.sample_ids
+    for name in ("labels", "features", "zeroshot"):
+        assert getattr(loaded, name).tobytes() == getattr(dataset, name).tobytes()
+
+
+def test_a_bad_token_mid_block_reports_the_row_loops_line(tmp_path):
+    rows = _plain_rows(2 * READ_BLOCK_ROWS + 3)
+    bad = READ_BLOCK_ROWS + READ_BLOCK_ROWS // 2
+    rows[bad][4] = b"oops"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(_dataset_text(rows, blank_before=(5,)))
+    with pytest.raises(ParseError, match="oops") as excinfo:
+        read_dataset(path)
+    assert excinfo.value.line_number == bad + 3  # the header and one blank line come first
+    assert _read_outcome(path) == _row_loop_outcome(path)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ from .model import params_from_named
 from .trainer import RunResult, TrainConfig, evaluate, run
 
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
+# Largest accepted sweep --jobs.  Each worker is a forked process with its own
+# copy of the datasets, and sweeps run at most a few dozen tasks, so the bound
+# only stops a mistyped count from asking the system for that many processes.
+MAX_JOBS = 256
 
 
 def _parse_config_value(name: str, raw: str):
@@ -211,8 +215,9 @@ def _run_one(task) -> tuple[str, float]:
 
 
 def _run_sweep(tasks, jobs: int) -> list[tuple[str, float]]:
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             # One task at a time: tasks differ in length, and the default
             # chunks of two leave one worker idle while the other finishes.
             return pool.map(_run_one, tasks, chunksize=1)
@@ -254,8 +259,8 @@ def _sweep(args, flag: str, key: str, setting) -> int:
     ``setting`` maps one entry of ``--flag`` to its table label and the
     config fields it overrides; runs go to ``OUT/{key}_{label}/seed_{seed}``.
     """
-    if args.jobs < 1:
-        raise ConfigInvalidError(f"--jobs must be >= 1, got {args.jobs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise ConfigInvalidError(f"--jobs must lie in [1, {MAX_JOBS}], got {args.jobs}")
     config = build_train_config(args)
     settings = _parse_list(
         flag, getattr(args, flag), setting, key=lambda labelled: labelled[1]

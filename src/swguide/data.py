@@ -38,6 +38,11 @@ from .errors import (
 
 ROLES = ("source", "target", "pseudo_source")
 LABEL_ABSENT = -1
+# Largest accepted n·K·d for a synthetic domain of n samples, K classes and
+# d features: simulate_zeroshot builds an (n, K, d) float64 array of each
+# sample's offsets from every class mean.  train_large's is 20000·5·20 =
+# 2·10^6 entries; at the bound the array takes 2 GiB.
+MAX_SPEC_ENTRIES = 2**28
 
 
 def rng_for(seed: int, *path) -> np.random.Generator:
@@ -149,6 +154,20 @@ class DomainDataset:
 # ---------------------------------------------------------------------------
 
 
+def _check_sizes(n: int, n_classes: int, feature_dim: int):
+    """InvalidSpecError unless a domain of ``n`` samples, ``n_classes``
+    classes and ``feature_dim`` features is one the generator can build."""
+    if n_classes < 2:
+        raise InvalidSpecError(f"need at least 2 classes, got {n_classes}")
+    if feature_dim < 2:
+        raise InvalidSpecError(f"need at least 2 feature dims for the rotation, got {feature_dim}")
+    if n * n_classes * feature_dim > MAX_SPEC_ENTRIES:
+        raise InvalidSpecError(
+            f"per_class, n_classes and feature_dim ask for more than MAX_SPEC_ENTRIES = "
+            f"{MAX_SPEC_ENTRIES} entries of samples x classes x features per domain"
+        )
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Everything needed to generate one source/target benchmark pair."""
@@ -184,12 +203,7 @@ class SyntheticSpec:
         self.validate()
 
     def validate(self):
-        if self.n_classes < 2:
-            raise InvalidSpecError(f"need at least 2 classes, got {self.n_classes}")
-        if self.feature_dim < 2:
-            raise InvalidSpecError(
-                f"need at least 2 feature dims for the rotation, got {self.feature_dim}"
-            )
+        _check_sizes(sum(self.per_class), self.n_classes, self.feature_dim)
         if self.class_means.shape != (self.n_classes, self.feature_dim):
             raise InvalidSpecError(
                 f"class_means shape {self.class_means.shape}, expected "
@@ -254,6 +268,8 @@ class SyntheticSpec:
             raise InvalidSpecError(
                 "standard() needs feature_dim >= n_classes for an orthonormal frame"
             )
+        # At least one sample, so that the bound also covers the (d, K) draw.
+        _check_sizes(max(per_class, 1) * n_classes, n_classes, feature_dim)
         means_rng = rng_for(seed, "means")
         raw = means_rng.standard_normal((feature_dim, n_classes))
         q, r = np.linalg.qr(raw)

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .calibration import SoftLabelSet, sharpen, solve_temperature
-from .data import DomainDataset, EpisodeMetrics, rng_for
+from .calibration import DEFAULT_TAU, SoftLabelSet, sharpen, solve_temperature
+from .data import LABEL_ABSENT, DomainDataset, EpisodeMetrics, rng_for
 from .errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
 from .expansion import (
+    DEFAULT_POLICY,
     POLICIES,
     check_pair,
     expand_dataset,
@@ -74,7 +75,7 @@ class TrainConfig:
     """Everything a run needs beyond the datasets themselves."""
 
     scheme: str = "v1"
-    tau: float | None = 0.9  # None: teachers are the raw T=1 softmax
+    tau: float | None = DEFAULT_TAU  # None: teachers are the raw T=1 softmax
     expansion_fraction: float = 0.5
     episodes: int = 25
     batch_size: int = 32
@@ -83,7 +84,7 @@ class TrainConfig:
     lambda_mode: str = "fixed"
     lambda_value: float = 1.0
     augment_noise: float = 0.1
-    selection_policy: str = "class_balanced"
+    selection_policy: str = DEFAULT_POLICY
     seed: int = 0
     w_kd: float = 1.0
     hidden_dim: int = 64
@@ -229,19 +230,13 @@ class _IndexStream:
     def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
         self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
+        self.pending = rng.permutation(n)
 
     def take(self, k: int) -> np.ndarray:
-        out: list[int] = []
-        while len(out) < k:
-            if self.pos == self.n:
-                self.order = self.rng.permutation(self.n)
-                self.pos = 0
-            grab = min(k - len(out), self.n - self.pos)
-            out.extend(self.order[self.pos : self.pos + grab])
-            self.pos += grab
-        return np.array(out, dtype=np.int64)
+        while len(self.pending) < k:
+            self.pending = np.concatenate([self.pending, self.rng.permutation(self.n)])
+        out, self.pending = self.pending[:k], self.pending[k:]
+        return out
 
 
 def lambda_at(config: TrainConfig, global_step: int, total_steps: int) -> float:
@@ -302,118 +297,120 @@ def _untrained_params(config: TrainConfig, source: DomainDataset, run_tag: str) 
     )
 
 
-def _single_run(
-    config: TrainConfig,
-    source: DomainDataset,
-    target: DomainDataset,
-    teachers: tuple[float, SoftLabelSet, SoftLabelSet],
-    fraction: float,
-    scores: np.ndarray,
-    run_tag: str,
-    episode_offset: int,
-) -> RunResult:
-    """One expand → adapt → train cycle; the heart of every trained scheme.
+@dataclass(frozen=True)
+class _RunPlan:
+    """Everything :func:`_train` reads.  The row pool stacks the expanded
+    source (source rows, then the selected target rows) on the target, with
+    ``LABEL_ABSENT`` on target rows, so a batch gathers its features, labels
+    and teacher rows with one index: a source stream index, or ``n_source``
+    plus a target stream index."""
 
-    ``teachers`` is :func:`build_teachers`'s result for these inputs, and
-    ``scores`` an (n_target, K) matrix, row-aligned with ``target``, that
-    ranks the target rows for expansion at ``fraction``.
-    """
-    temperature, teacher_source, teacher_target = teachers
+    params: ModelParams
+    grad: np.ndarray
+    optimizer: Adam
+    features: np.ndarray
+    labels: np.ndarray
+    teacher: np.ndarray
+    n_source: int
+    src_half: int
+    tgt_half: int
+    ce_mask: np.ndarray
+    source_rows: np.ndarray
+    steps_per_episode: int
+    src_stream: _IndexStream
+    tgt_stream: _IndexStream
+    aug_rng: np.random.Generator
+
+
+def _plan_run(config: TrainConfig, source: DomainDataset, target: DomainDataset,
+              teachers: tuple[float, SoftLabelSet, SoftLabelSet], fraction: float,
+              scores: np.ndarray, run_tag: str) -> _RunPlan:
+    """Select, expand, adapt and pack one run.  ``teachers`` is
+    :func:`build_teachers`'s result for these inputs, and ``scores`` an
+    (n_target, K) matrix, row-aligned with ``target``, that ranks the target
+    rows for expansion at ``fraction``."""
+    source_teacher, target_teacher = teachers[1].probs, teachers[2].probs
     target_train = target.without_labels()
-    selection = select_pseudo_source(
-        scores, target.sample_ids, fraction, config.selection_policy
-    )
+    selection = select_pseudo_source(scores, target.sample_ids, fraction, config.selection_policy)
     expanded = expand_dataset(source, target_train, selection)
 
     params = _untrained_params(config, source, run_tag)
     # Trainable arrays become views of one flat vector, and each step's
     # gradients land in one flat vector, so Adam is a few vector ops.
     flat, params = pack_trainable(adapt_model(params, expanded, target_train))
-    grad = np.zeros_like(flat)
-    learning_rates = np.concatenate(
-        [
-            np.full(array.size, learning_rate_for(name, config))
-            for name, array in params.trainable_arrays().items()
-        ]
-    )
-    optimizer = Adam(flat, learning_rates)
-
-    # Row-aligned with ``expanded`` (the source rows, then the selected
-    # target rows) and ``target_train``, so each batch gathers its teacher
-    # rows with the indices that gather features.
-    teacher_src = np.concatenate(
-        [teacher_source.probs, teacher_target.probs[selection.rows]], axis=0
-    )
-    teacher_tgt = teacher_target.probs
-
-    src_half = math.ceil(config.batch_size / 2)
-    tgt_half = config.batch_size // 2
-    src_stream = _IndexStream(len(expanded), rng_for(config.seed, "batch", run_tag, "source"))
-    tgt_stream = _IndexStream(len(target_train), rng_for(config.seed, "batch", run_tag, "target"))
-    aug_rng = rng_for(config.seed, "aug", run_tag)
-
-    steps_per_episode = max(
-        math.ceil(len(expanded) / src_half), math.ceil(len(target_train) / tgt_half)
-    )
-    total_steps = config.episodes * steps_per_episode
-    global_step = 0
+    learning_rates = np.concatenate([np.full(array.size, learning_rate_for(name, config))
+                                     for name, array in params.trainable_arrays().items()])
 
     # Every batch is laid out as [source, target, augmented source,
     # augmented target] halves, so its domain masks are fixed for the run.
     # Pseudo-source rows are source data, so ``source_rows`` is also the
     # discriminator's domain labels.
+    src_half, tgt_half = math.ceil(config.batch_size / 2), config.batch_size // 2
     ce_mask = np.array(([True] * src_half + [False] * tgt_half) * 2)
-    source_rows = ce_mask.astype(np.float64).reshape(-1, 1)
-    domain_masks = {"source": source_rows, "target": 1.0 - source_rows}
-    tgt_blank = np.full(tgt_half, -1, dtype=np.int64)
+    return _RunPlan(
+        params=params,
+        grad=np.zeros_like(flat),
+        optimizer=Adam(flat, learning_rates),
+        features=np.concatenate([expanded.features, target_train.features]),
+        labels=np.concatenate([expanded.labels, np.full(len(target), LABEL_ABSENT)]),
+        teacher=np.concatenate([source_teacher, target_teacher[selection.rows], target_teacher]),
+        n_source=len(expanded),
+        src_half=src_half,
+        tgt_half=tgt_half,
+        ce_mask=ce_mask,
+        source_rows=ce_mask.astype(np.float64).reshape(-1, 1),
+        steps_per_episode=max(math.ceil(len(expanded) / src_half),
+                              math.ceil(len(target) / tgt_half)),
+        src_stream=_IndexStream(len(expanded), rng_for(config.seed, "batch", run_tag, "source")),
+        tgt_stream=_IndexStream(len(target), rng_for(config.seed, "batch", run_tag, "target")),
+        aug_rng=rng_for(config.seed, "aug", run_tag),
+    )
 
+
+def _train(plan: _RunPlan, config: TrainConfig, target: DomainDataset,
+           episode_offset: int) -> tuple[list[EpisodeMetrics], np.ndarray]:
+    """Run the plan's episodes; returns their metrics and the last episode's
+    target probabilities."""
     labels = _evaluation_labels(target)
+    domain_masks = {"source": plan.source_rows, "target": 1.0 - plan.source_rows}
+    steps = plan.steps_per_episode
     metrics: list[EpisodeMetrics] = []
     for episode in range(config.episodes):
-        step_ce, step_kd, step_ad = [], [], []
-        for _ in range(steps_per_episode):
-            src_idx = src_stream.take(src_half)
-            tgt_idx = tgt_stream.take(tgt_half)
-            noise = aug_rng.standard_normal(
-                (src_half + tgt_half, source.feature_dim)
-            ) * config.augment_noise
+        losses = []
+        for step in range(episode * steps, (episode + 1) * steps):
+            rows = np.concatenate([plan.src_stream.take(plan.src_half),
+                                   plan.n_source + plan.tgt_stream.take(plan.tgt_half)])
+            noise = plan.aug_rng.standard_normal((len(rows), plan.features.shape[1]))
+            rows = np.concatenate([rows, rows])  # the augmented halves repeat the rows
+            batch_x = plan.features[rows]
+            batch_x[len(noise):] += noise * config.augment_noise
+            losses.append(_train_step(
+                config, plan.params, plan.grad, plan.optimizer, batch_x, plan.labels[rows],
+                plan.ce_mask, domain_masks, plan.teacher[rows], plan.source_rows,
+                lambda_at(config, step, config.episodes * steps),
+            ))
 
-            x = np.concatenate([expanded.features[src_idx], target_train.features[tgt_idx]])
-            batch_x = np.concatenate([x, x + noise])
-            labels_x = np.concatenate([expanded.labels[src_idx], tgt_blank])
-            batch_labels = np.concatenate([labels_x, labels_x])
-            teacher_x = np.concatenate([teacher_src[src_idx], teacher_tgt[tgt_idx]])
-            teacher_rows = np.concatenate([teacher_x, teacher_x])
-
-            l_ce, l_kd, l_ad = _train_step(
-                config, params, grad, optimizer, batch_x, batch_labels, ce_mask,
-                domain_masks, teacher_rows, source_rows,
-                lambda_at(config, global_step, total_steps),
-            )
-            step_ce.append(l_ce)
-            step_kd.append(l_kd)
-            step_ad.append(l_ad)
-            global_step += 1
-
-        # The last episode's probabilities are the run's predictions.
-        probs = predict_target(params, target)
-        accuracy = _accuracy(probs, labels)
+        probs = predict_target(plan.params, target)
+        l_ce, l_kd, l_ad = (float(np.mean(values)) for values in zip(*losses))
         metrics.append(
-            EpisodeMetrics(
-                episode=episode_offset + episode,
-                l_ce=float(np.mean(step_ce)),
-                l_kd=float(np.mean(step_kd)),
-                l_ad=float(np.mean(step_ad)),
-                target_accuracy=accuracy,
-            )
+            EpisodeMetrics(episode_offset + episode, l_ce, l_kd, l_ad, _accuracy(probs, labels))
         )
+    return metrics, probs
 
+
+def _single_run(config: TrainConfig, source: DomainDataset, target: DomainDataset,
+                teachers: tuple[float, SoftLabelSet, SoftLabelSet], fraction: float,
+                scores: np.ndarray, run_tag: str, episode_offset: int) -> RunResult:
+    """One expand → adapt → train cycle, the heart of every trained scheme;
+    the last episode's probabilities are the run's predictions."""
+    plan = _plan_run(config, source, target, teachers, fraction, scores, run_tag)
+    metrics, probs = _train(plan, config, target, episode_offset)
     return RunResult(
-        params=params,
+        params=plan.params,
         metrics=metrics,
         prediction_ids=target.sample_ids,
         prediction_probs=probs,
-        temperature=temperature,
+        temperature=teachers[0],
         fraction=fraction,
         accuracy=metrics[-1].target_accuracy,
         scheme=config.scheme,

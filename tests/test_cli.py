@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swguide import cli
 from swguide.cli import main
 from swguide.data import (
     DomainDataset,
@@ -160,6 +161,23 @@ def test_gen_rejects_a_non_finite_setting_naming_its_field(tmp_path, capsys, fla
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{field} must be" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--per-class", str(10**18), "per_class"),
+        ("--feature-dim", str(10**18), "feature_dim"),
+        ("--classes", "-1", "classes"),
+    ],
+)
+def test_gen_rejects_a_size_it_cannot_build_naming_the_field(tmp_path, capsys, flag, value,
+                                                             field):
+    source, target = str(tmp_path / "s.txt"), str(tmp_path / "t.txt")
+    code = main(["gen", "--out-source", source, "--out-target", target, flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
 
 
 def test_calibrate_infeasible_exits_with_error(tmp_path, capsys):
@@ -643,3 +661,49 @@ def test_sweep_jobs_below_one_exit_2(bench, capsys, command, values, jobs):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--jobs" in err
+
+
+class _SerialPool:
+    """Stands in for ``multiprocessing.Pool``: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        _SerialPool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("jobs, workers", [("8", [2]), ("2", [2]), ("1", [])])
+def test_sweep_starts_no_more_workers_than_tasks(bench, capsys, monkeypatch, jobs, workers):
+    monkeypatch.setattr(cli.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    source, target = bench
+    code = main(["sweep-expansion", "--source", source, "--target", target,
+                 "--fractions", "0,0.5", "--jobs", jobs, "--episodes", "1", "--batch-size", "8"])
+    assert code == 0
+    assert _SerialPool.sizes == workers
+    assert capsys.readouterr().out.count("n_seeds=1") == 2
+
+
+@pytest.mark.parametrize(
+    "command, values", [("sweep-expansion", "--fractions"), ("sweep-tau", "--taus")]
+)
+def test_sweep_jobs_above_the_bound_exit_2_before_any_pool(bench, capsys, monkeypatch,
+                                                            command, values):
+    monkeypatch.setattr(cli.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    source, target = bench
+    code = main([command, "--source", source, "--target", target, values, "0.9",
+                 "--jobs", "1000000", "--episodes", "1", "--batch-size", "8"])
+    assert code == 2
+    assert _SerialPool.sizes == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err and str(cli.MAX_JOBS) in err

@@ -176,6 +176,12 @@ def test_spec_per_class_must_be_a_sequence_of_integers(per_class):
         dataclasses.replace(SyntheticSpec.standard(), per_class=per_class)
 
 
+def test_spec_beyond_any_address_space_is_rejected_before_it_is_built():
+    spec = SyntheticSpec.standard(n_classes=2, feature_dim=2, per_class=1)
+    with pytest.raises(InvalidSpecError, match="per_class"):
+        dataclasses.replace(spec, per_class=(10**18, 10**18))
+
+
 def test_standard_spec_is_seed_deterministic():
     a, b = SyntheticSpec.standard(seed=3), SyntheticSpec.standard(seed=3)
     np.testing.assert_array_equal(a.class_means, b.class_means)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from swguide.calibration import (
+    DEFAULT_TAU,
     mean_winning_probability,
     solve_temperature,
     stable_softmax,
@@ -22,6 +23,7 @@ from swguide.data import (
     rng_for,
 )
 from swguide.errors import ConfigInvalidError, ShapeMismatchError, UnlabeledError
+from swguide.expansion import DEFAULT_POLICY
 from swguide.model import forward
 from swguide import autodiff as ad
 from swguide.norm_adapt import adapt_model
@@ -157,6 +159,12 @@ def test_default_config_is_valid():
     TrainConfig().validate(n_classes=5)
 
 
+def test_config_defaults_are_the_library_constants():
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    assert defaults["tau"] is DEFAULT_TAU
+    assert defaults["selection_policy"] is DEFAULT_POLICY
+
+
 # ---------------------------------------------------------------------------
 # Optimizer and schedules
 # ---------------------------------------------------------------------------
@@ -244,6 +252,24 @@ def test_index_stream_reshuffles_between_passes():
     a, b = stream.take(50), stream.take(50)
     assert sorted(a) == sorted(b)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, takes", [(5, (3, 4, 5, 1, 12)), (1, (1, 3)), (7, (7, 7, 2, 20))])
+def test_index_stream_draws_each_permutation_only_when_it_needs_it(n, takes):
+    """The stream hands out its generator's permutations end to end, and
+    draws the next one only when a take runs past the ones drawn so far."""
+    stream = _IndexStream(n, rng_for(2, "stream-test", n))
+    reference = rng_for(2, "stream-test", n)
+    drawn = [reference.permutation(n)]
+    taken = []
+    for k in takes:
+        taken.append(stream.take(k))
+        while len(drawn) * n < sum(map(len, taken)):
+            drawn.append(reference.permutation(n))
+        assert stream.rng.bit_generator.state == reference.bit_generator.state
+    out = np.concatenate(taken)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, np.concatenate(drawn)[: len(out)])
 
 
 # ---------------------------------------------------------------------------
@@ -592,3 +618,52 @@ def test_every_backward_rule_is_recorded_by_training_or_traced_by_the_benchmark(
         run(small_config(scheme=scheme, episodes=1), source, target)
     assert {"linear", "domain_affine", "weighted_sum"} <= recorded
     assert sorted(set(ad._BACKWARD) - recorded - set(spans.OPS)) == []
+
+
+@pytest.mark.parametrize("scheme", ["v1", "v2"])
+def test_each_batch_row_carries_the_label_and_teacher_row_of_its_sample(monkeypatch, scheme):
+    """A source-half row holds an expanded-source sample's features, label
+    and teacher row (the target teacher's for a pseudo-source copy), a
+    target-half row a target sample's features and teacher row with no
+    label, and the augmented halves repeat both."""
+    source, target = small_benchmark()
+    config = small_config(scheme=scheme, batch_size=7)
+    _, teacher_source, teacher_target = build_teachers(config, source, target)
+    expansions, batches = [], []
+    expand, step = trainer.expand_dataset, trainer._train_step
+
+    def recording_expand(*args):
+        expansions.append(expand(*args))
+        return expansions[-1]
+
+    def recording_step(*args):
+        batch_x, batch_labels, teacher_rows = args[4], args[5], args[8]
+        batches.append((expansions[-1], batch_x.copy(), batch_labels.copy(), teacher_rows.copy()))
+        return step(*args)
+
+    monkeypatch.setattr(trainer, "expand_dataset", recording_expand)
+    monkeypatch.setattr(trainer, "_train_step", recording_step)
+    run(config, source, target)
+
+    src_half, half = 4, 7
+    target_row = {row.tobytes(): i for i, row in enumerate(target.features)}
+    pseudo_source_rows = 0
+    assert len(expansions) == (2 if scheme == "v2" else 1) and batches
+    for expanded, x, labels, teacher in batches:
+        np.testing.assert_array_equal(labels[half:], labels[:half])
+        np.testing.assert_array_equal(teacher[half:], teacher[:half])
+        expanded_row = {row.tobytes(): i for i, row in enumerate(expanded.features)}
+        for r in range(src_half):
+            i = expanded_row[x[r].tobytes()]
+            assert labels[r] == expanded.labels[i]
+            if i < len(source):
+                expected = teacher_source.probs[i]
+            else:
+                pseudo_source_rows += 1
+                expected = teacher_target.probs[target.sample_ids.index(expanded.sample_ids[i])]
+            np.testing.assert_array_equal(teacher[r], expected)
+        for r in range(src_half, half):
+            assert labels[r] == -1
+            j = target_row[x[r].tobytes()]
+            np.testing.assert_array_equal(teacher[r], teacher_target.probs[j])
+    assert pseudo_source_rows > 0
